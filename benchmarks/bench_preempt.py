@@ -54,6 +54,7 @@ import numpy as np
 if __package__ in (None, ""):  # run as a script
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
+from repro.hardware.dvfs import DVFSTable
 from repro.serve import InferenceRequest, StackConfig, build_serving_stack
 
 from benchmarks.common import write_json_result, write_result
@@ -93,7 +94,7 @@ def _trace(num_requests: int, seed: int) -> List[InferenceRequest]:
     flood.
     """
     _, _, probe = _stack(seed)
-    level = probe.dvfs[LEVEL]
+    level = DVFSTable()[LEVEL]
     adapter = probe.adapter
     from repro.hardware.latency import SparsityKind
     dense = adapter.latency.latency_s(adapter.workload, level, 0.0,

@@ -79,10 +79,11 @@ def _scenario_kwargs(num_requests: int, seed: int) -> dict:
 def serve_streaming(num_requests: int, max_wait_s: float, seed: int = 0):
     """Feed the bursty stream arrival-by-arrival through the online loop."""
     _, workload, engine = build_serving_stack(StackConfig(
-        seed=seed, streaming=True, max_wait_s=max_wait_s))
-    completed = engine.play(stream_scenario(
+        seed=seed, window_s=max_wait_s))
+    session = engine.streaming()
+    completed = session.play(stream_scenario(
         "bursty", workload, **_scenario_kwargs(num_requests, seed)))
-    report = engine.report()
+    report = session.report()
     assert len(completed) == report.num_requests
     return report
 

@@ -267,14 +267,16 @@ def cmd_serve(args) -> int:
         max_new_tokens=args.decode_max_new_tokens, top_k=args.decode_top_k,
         temperature=args.decode_temperature, seed=args.decode_seed,
         eos_id=args.decode_eos_id, fast_forward=not args.no_fast_forward)
-    # the stack is always built non-streaming here: the fault plan may
-    # need the trace horizon (--faults flaky), which is only known after
-    # the scenario materializes, so sessions are handed out below via
-    # engine.streaming() once engine.faults is set
+    # --max-wait-ms overrides --window-ms as the batching window; the
+    # fault plan may need the trace horizon (--faults flaky), which is
+    # only known after the scenario materializes, so sessions are handed
+    # out below via engine.streaming() once engine.faults is set
+    window_ms = (args.max_wait_ms if args.max_wait_ms is not None
+                 else args.window_ms)
     _, workload, engine = build_serving_stack(StackConfig(
         dim=args.dim, vocab_size=args.vocab_size, seq_len=args.seq_len,
         max_len=args.max_len, pattern_size=args.pattern_size, seed=args.seed,
-        max_batch=args.batch_size, window_s=args.window_ms / 1e3,
+        max_batch=args.batch_size, window_s=window_ms / 1e3,
         use_cache=not args.no_cache,
         cache_budget_bytes=int(args.cache_budget_kb * 1024),
         verify=args.verify, devices=args.devices, policy=args.policy,
@@ -287,10 +289,7 @@ def cmd_serve(args) -> int:
         preempt_policy=args.preempt_policy,
         cancel_after_s=(args.cancel_after / 1e3
                         if args.cancel_after is not None else None),
-        tenant_weights=tenant_weights,
-        admission_estimate=args.admission_estimate))
-    max_wait_s = (args.max_wait_ms / 1e3
-                  if args.max_wait_ms is not None else None)
+        tenant_weights=tenant_weights))
     scenario_cfg = ScenarioConfig(
         num_requests=args.requests, vocab_size=args.vocab_size,
         seq_len=args.seq_len, max_len=args.max_len, seed=args.seed)
@@ -314,7 +313,7 @@ def cmd_serve(args) -> int:
         # decode lane); the rest stay one-shot batch requests
         ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
         decode_ids = {r.req_id for r in ordered[:args.decode_streams]}
-        core = engine.streaming(max_wait_s=max_wait_s)
+        core = engine.streaming()
         for req in ordered:
             if req.req_id in decode_ids:
                 core.submit_decode(req)
@@ -327,7 +326,7 @@ def cmd_serve(args) -> int:
         # one request at a time (StreamingEngine.play owns the feeding
         # discipline), forming micro-batches at admission time; lazy
         # unless the flaky overlay already forced materialization
-        core = engine.streaming(max_wait_s=max_wait_s)
+        core = engine.streaming()
         completed = core.play(trace if trace is not None
                               else stream_scenario(args.scenario, workload,
                                                    scenario_cfg))
@@ -558,18 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="NAME=W",
                          help="override one tenant's fair-share weight "
                               "(repeatable; unlisted tenants weigh 1)")
-    p_serve.add_argument("--admission-estimate", default="remaining",
-                         choices=["remaining", "full"],
-                         help="batching-window charge in the shed-policy "
-                              "completion estimate: remaining charges only "
-                              "the open group's residual window; full keeps "
-                              "the historical whole-window pessimism")
     p_serve.add_argument("--streaming", action="store_true",
                          help="feed the scenario arrival-by-arrival through "
                               "the online submit/tick/drain event loop "
                               "instead of serving the materialized trace")
     p_serve.add_argument("--max-wait-ms", type=float, default=None,
-                         help="streaming admission window (defaults to "
+                         help="batching window override (defaults to "
                               "--window-ms): max time a partial micro-batch "
                               "waits for compatible arrivals")
     p_serve.add_argument("--fairness-window", type=int, default=4,

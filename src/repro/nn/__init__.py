@@ -38,7 +38,6 @@ from repro.nn.generation import (
     DecodeSession,
     GenerationConfig,
     GenerationResult,
-    generate,
     generate_with_deadline,
     sample_token,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "DecodeSession",
     "GenerationConfig",
     "GenerationResult",
-    "generate",
     "generate_with_deadline",
     "sample_token",
     "FitConfig",

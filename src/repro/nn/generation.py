@@ -14,14 +14,12 @@ contexts through the compiled KV-cached decode plane
 (:class:`~repro.nn.inference.CompiledDecode`).  Streams may be submitted
 at any point — they join the rolling batch at the next token boundary —
 and each stream's float64 output is bit-identical (``==``) to running it
-alone through the eager Tensor forward.  The historical ``generate(...)``
-free function remains as a thin deprecation shim over a session.
+alone through the eager Tensor forward.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +29,7 @@ from repro.nn.transformer import TransformerLM
 from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["DecodeSession", "GenerationConfig", "GenerationResult",
-           "generate", "generate_with_deadline", "sample_token"]
+           "generate_with_deadline", "sample_token"]
 
 
 @dataclass
@@ -125,7 +123,7 @@ class DecodeSession:
     ``compiled=False`` keeps the eager per-stream Tensor forward under
     ``no_grad`` — same bits, no plan.  The session puts the model in
     eval mode and leaves it there; callers that need train mode back
-    (the deprecated ``generate()`` shim does) restore it themselves.
+    restore it themselves.
     """
 
     def __init__(self, model: TransformerLM,
@@ -236,17 +234,11 @@ class DecodeSession:
                 s.state = None
 
 
-# ---------------------------------------------------------------------------
-# deprecated free-function surface
-# ---------------------------------------------------------------------------
-
-_GENERATE_DEPRECATION_WARNED = False
-
-
 def _generate(model: TransformerLM, prompt: np.ndarray, max_new_tokens: int,
               top_k: Optional[int] = None, temperature: float = 1.0,
               seed: Optional[int] = None) -> GenerationResult:
-    """Non-warning core of the deprecated ``generate`` free function."""
+    """Continue ``prompt`` for ``max_new_tokens`` steps in a one-stream
+    session, leaving the model in train mode."""
     cfg = GenerationConfig(max_new_tokens=max_new_tokens, top_k=top_k,
                            temperature=temperature, seed=seed).validate()
     prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
@@ -259,31 +251,10 @@ def _generate(model: TransformerLM, prompt: np.ndarray, max_new_tokens: int,
         result = session.result(sid)
     finally:
         session.close()
-        # the historical contract: generate() flipped the model back to
+        # the historical contract: generation flipped the model back to
         # train mode on the way out
         model.train()
     return result
-
-
-def generate(model: TransformerLM, prompt: np.ndarray, max_new_tokens: int,
-             top_k: Optional[int] = None, temperature: float = 1.0,
-             seed: Optional[int] = None) -> GenerationResult:
-    """Deprecated: continue ``prompt`` for ``max_new_tokens`` steps.
-
-    Thin shim over :class:`DecodeSession` — identical outputs (tokens,
-    logprobs, validation errors and the eval→train mode round-trip), one
-    :class:`DeprecationWarning` per process.  New code should build a
-    :class:`GenerationConfig` and drive a session directly.
-    """
-    global _GENERATE_DEPRECATION_WARNED
-    if not _GENERATE_DEPRECATION_WARNED:
-        _GENERATE_DEPRECATION_WARNED = True
-        warnings.warn(
-            "generate() is deprecated; use GenerationConfig + DecodeSession "
-            "(submit_prompt/step/finished) instead",
-            DeprecationWarning, stacklevel=2)
-    return _generate(model, prompt, max_new_tokens, top_k=top_k,
-                     temperature=temperature, seed=seed)
 
 
 def generate_with_deadline(model: TransformerLM, prompt: np.ndarray,

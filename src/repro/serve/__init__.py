@@ -12,6 +12,11 @@ paper's deployment stories as lazy arrival iterators.
 
 Layout
 ------
+- :mod:`~repro.serve.config`    — :class:`ServeConfig`, every serving
+  setting in one frozen object whose constructor checks each rule once.
+  ``ServeEngine`` holds one, hands it to each ``StreamingEngine``
+  session, and the session hands it to its shards and dispatcher, so
+  no layer re-spells or re-checks a setting;
 - :mod:`~repro.serve.batcher`   — requests, padding-exact vectorized
   forwards, and the two halves of micro-batching: the incremental
   :class:`AdmissionQueue` (admit one request at a time; flush on
@@ -37,8 +42,8 @@ Layout
   metrics are exactly the pre-streaming engine's; affinity-style drains
   decide online, from the batches admitted by each decision instant);
 - :mod:`~repro.serve.decode`    — the continuous-batching decode plane:
-  :class:`DecodeOptions` (the grouped decode/fast-forward sub-config
-  ``StackConfig`` embeds) and the per-device :class:`DecodeLane` — a
+  :class:`DecodeOptions` (the decode/fast-forward sub-config
+  ``ServeConfig.decode``) and the per-device :class:`DecodeLane` — a
   rolling batch that streams join (arrival) and leave (eos / token
   budget) at *token boundaries*, grouped by operating-point
   compatibility key and advanced through a shared KV-cached
@@ -50,12 +55,11 @@ Layout
   drain policies ``fifo`` — global flush order — ``level-affinity`` —
   serve one V/F level run-to-run under a fairness window — and
   ``adaptive`` — flip to level-affinity when the shard's observed
-  switch rate crosses a threshold, and back to fifo when it falls to
-  the optional ``adaptive_low_threshold`` hysteresis band) and the
-  :class:`Dispatcher` routing
-  policies ``round-robin`` / ``least-loaded`` / ``switch-aware``
-  (least-loaded plus the simulated cost of the pattern swap a placement
-  would trigger);
+  switch rate crosses ``ADAPTIVE_THRESHOLD``, and back to fifo when it
+  falls to the optional ``adaptive_low_threshold`` hysteresis band) and
+  the :class:`Dispatcher` routing policies ``round-robin`` /
+  ``least-loaded`` / ``switch-aware`` (least-loaded plus the simulated
+  cost of the pattern swap a placement would trigger);
 - :mod:`~repro.serve.scenarios` — ``steady`` / ``bursty`` / ``battery``
   / ``bandwidth`` lazy traffic streams (``stream_scenario``) with the
   offline ``build_scenario`` materializer; ``bandwidth`` is the paper's
@@ -66,7 +70,6 @@ Layout
   failure-handling vocabulary: :class:`FaultPlan` schedules of
   :class:`ShardFault` crash/stall/slow events (``FaultPlan.parse`` reads
   the CLI's ``kind:shard@at[+duration][xfactor]`` spec), the
-  :class:`FaultInjector` that validates one against a device fleet, the
   shard health states (``HEALTHY``/``DEGRADED``/``DOWN``) and the
   admission shed policies (``none``/``reject``/``degrade``) with their
   per-request :class:`ShedRecord` accounting.  A crashed shard's queued
@@ -104,8 +107,7 @@ re-probing).
 --tenant-weight t0=3 --max-queue 32 --cancel-after 50`` adds the
 scheduler defenses: deadline-driven preemption of queued (or in-flight)
 batches, a client cancellation timeout, and weighted fair per-tenant
-admission shares (``--admission-estimate full`` restores the historical
-whole-window shed estimate).
+admission shares.
 ``benchmarks/bench_serve.py`` measures the batched-vs-single speedup
 and the multi-device scaling (``BENCH_serve.json``);
 ``benchmarks/bench_stream.py`` sweeps the admission window on bursty
@@ -138,6 +140,7 @@ from repro.serve.batcher import (
     run_padded,
 )
 from repro.serve.cache import ArtifactCache, CacheStats, LRUCache, artifact_nbytes
+from repro.serve.config import DRAIN_POLICIES, POLICIES, ServeConfig
 from repro.serve.decode import DecodeJob, DecodeLane, DecodeOptions
 from repro.serve.engine import ServeEngine
 from repro.serve.faults import (
@@ -148,20 +151,12 @@ from repro.serve.faults import (
     PREEMPT_POLICIES,
     SHED_POLICIES,
     CancelRecord,
-    FaultInjector,
     FaultPlan,
     ShardFault,
     ShedRecord,
 )
 from repro.serve.streaming import ServeReport, StreamingEngine
-from repro.serve.sharding import (
-    DRAIN_POLICIES,
-    POLICIES,
-    DeviceShard,
-    Dispatcher,
-    QueuedBatch,
-    ShardStats,
-)
+from repro.serve.sharding import DeviceShard, Dispatcher, QueuedBatch, ShardStats
 from repro.serve.stack import StackConfig, build_serving_stack
 from repro.serve.scenarios import (
     SCENARIOS,
@@ -190,7 +185,6 @@ __all__ = [
     "DeviceShard",
     "Dispatcher",
     "FAULT_KINDS",
-    "FaultInjector",
     "FaultPlan",
     "FlushedGroup",
     "HEALTHY",
@@ -205,6 +199,7 @@ __all__ = [
     "SCENARIOS",
     "SHED_POLICIES",
     "ScenarioConfig",
+    "ServeConfig",
     "ServeEngine",
     "ServeReport",
     "ShardFault",

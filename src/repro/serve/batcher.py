@@ -28,6 +28,7 @@ Four pieces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -198,6 +199,15 @@ def run_padded(model, requests: Sequence[InferenceRequest], pad_id: int = 0,
 # grouping
 # ---------------------------------------------------------------------------
 
+def check_batching(max_batch: int, window_s: float) -> None:
+    """The micro-batching rules, shared by the queues and ServeConfig."""
+    if max_batch < 1:
+        raise ValueError(f"max_batch must be at least 1, got {max_batch}")
+    if not math.isfinite(window_s) or window_s < 0:
+        raise ValueError(
+            f"window_s must be finite and non-negative, got {window_s}")
+
+
 def _default_key(request: InferenceRequest) -> Hashable:
     return request.level_name
 
@@ -261,10 +271,7 @@ class AdmissionQueue:
 
     def __init__(self, max_batch: int = 8, max_wait_s: float = 0.05,
                  key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if max_wait_s < 0:
-            raise ValueError("window cannot be negative")
+        check_batching(max_batch, max_wait_s)
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.key_fn = key_fn or _default_key
@@ -402,10 +409,7 @@ class MicroBatcher:
 
     def __init__(self, max_batch: int = 8, window_s: float = 0.05,
                  key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if window_s < 0:
-            raise ValueError("window cannot be negative")
+        check_batching(max_batch, window_s)
         self.max_batch = max_batch
         self.window_s = window_s
         self.key_fn = key_fn or _default_key

@@ -12,10 +12,9 @@ advanced by a shared :class:`~repro.nn.generation.DecodeSession` so
 equal-length contexts run as one stacked (bit-exact) decode step and
 nothing is ever padded to the longest member.
 
-:class:`DecodeOptions` is the grouped sub-config consolidating the
-decode/fast-forward knobs that previously travelled the
-DeviceShard→Streaming→Serve→CLI chain as flat kwargs; ``StackConfig``
-embeds one and the engines thread it through unchanged.
+:class:`DecodeOptions` groups the decode-lane sampling defaults and the
+compiled-forward switch; it is the ``decode`` field of
+:class:`~repro.serve.config.ServeConfig`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ __all__ = ["DecodeJob", "DecodeLane", "DecodeOptions"]
 class DecodeOptions:
     """Decode-plane knobs as one value object.
 
-    ``fast_forward`` is the consolidated home of the old flat engine
-    kwarg: it gates both the compiled full-sequence plan and the
+    ``fast_forward`` gates both the compiled full-sequence plan and the
     KV-cached decode plane (``False`` = eager Tensor forwards, same
     bits).  The sampling fields are the defaults applied to decode
     requests submitted without their own

@@ -6,19 +6,19 @@ degrade*; this module supplies the degraded conditions.  A
 — crash at ``t`` (with finite or permanent duration), transient stall
 windows, slowdown factors — that the streaming engine folds into its
 one global event heap, so a faulty run is exactly as deterministic and
-tick-granularity independent as a healthy one.  Three pieces:
+tick-granularity independent as a healthy one.  Two pieces:
 
 - :class:`ShardFault` / :class:`FaultPlan` — the schedule.  Plans are
   value objects: build them programmatically, via
   :meth:`FaultPlan.parse` (the CLI's ``--faults`` spec string), via
   :meth:`FaultPlan.outage` (the single-outage acceptance shape), or via
   the seeded :func:`~repro.serve.scenarios.flaky_fault_overlay`
-  generator.
-- :class:`FaultInjector` — validates a plan against a device count and
-  hands the engine the time-ordered events plus the re-probe backoff
-  (downed shards are re-probed at exponentially growing intervals;
-  recovery is *detected* at the first probe past the outage, so the
-  detection lag is bounded by the last backoff interval).
+  generator.  :class:`~repro.serve.config.ServeConfig` checks a plan
+  against its device count, and the engine folds the time-ordered
+  events into its heap; downed shards are re-probed at exponentially
+  growing intervals from ``probe_backoff_s`` (recovery is *detected* at
+  the first probe past the outage, so the detection lag is bounded by
+  the last backoff interval).
 - :class:`ShedRecord` / :data:`SHED_POLICIES` — the admission-control
   half: what the engine records when it refuses a request instead of
   silently losing it.  Conservation (``completed + shed == submitted``)
@@ -42,7 +42,6 @@ __all__ = [
     "DEGRADED",
     "DOWN",
     "FAULT_KINDS",
-    "FaultInjector",
     "FaultPlan",
     "HEALTHY",
     "PREEMPT_POLICIES",
@@ -140,7 +139,7 @@ class FaultPlan:
         for f in self.events:
             if f.shard_id >= devices:
                 raise ValueError(
-                    f"fault targets shard {f.shard_id} but the engine has "
+                    f"faults target shard {f.shard_id} but the engine has "
                     f"{devices} device(s)")
         return self
 
@@ -181,28 +180,6 @@ class FaultPlan:
         if not events:
             raise ValueError("fault spec parsed to zero events")
         return cls(events)
-
-
-class FaultInjector:
-    """Binds a :class:`FaultPlan` to an engine's device count.
-
-    The engine asks for :meth:`ordered` events once at session start and
-    folds them into its global heap; ``probe_backoff_s`` is the first
-    re-probe interval for a downed shard (each subsequent probe doubles
-    it, so a long outage costs O(log) probe events, and a permanently
-    downed shard is abandoned after its plan says it never returns).
-    """
-
-    def __init__(self, plan: FaultPlan, devices: int,
-                 probe_backoff_s: float = 0.005) -> None:
-        if probe_backoff_s <= 0 or not math.isfinite(probe_backoff_s):
-            raise ValueError("probe_backoff_s must be finite and positive")
-        self.plan = plan.validate(devices)
-        self.devices = devices
-        self.probe_backoff_s = probe_backoff_s
-
-    def ordered(self) -> List[ShardFault]:
-        return self.plan.ordered()
 
 
 @dataclass

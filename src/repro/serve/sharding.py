@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.serve.batcher import InferenceRequest
+from repro.serve.config import ADAPTIVE_THRESHOLD, ADAPTIVE_WINDOW, ServeConfig
 from repro.serve.decode import DecodeJob, DecodeLane
 from repro.serve.faults import DEGRADED, DOWN, HEALTHY
 
-POLICIES = ("round-robin", "least-loaded", "switch-aware")
-DRAIN_POLICIES = ("fifo", "level-affinity", "adaptive")
+_DEFAULT = ServeConfig()
 
 
 @dataclass
@@ -163,7 +163,7 @@ class DeviceShard:
 
     ``enqueue`` files a batch under its V/F level; the event loop asks
     :meth:`next_event_s` when the shard can next start a batch and
-    :meth:`pop_next` for which one, according to ``drain_policy``:
+    :meth:`pop_next` for which one, according to ``config.drain_policy``:
 
     - ``fifo`` — global flush order (min ``seq`` across queue heads; each
       per-level queue is FIFO, so this is a stable merge);
@@ -173,8 +173,8 @@ class DeviceShard:
       waiting.  Level runs amortize the pattern set resident for that
       level across the whole run;
     - ``adaptive`` — behave as ``fifo`` until the observed pattern-switch
-      rate over the last ``adaptive_window`` executed batches reaches
-      ``adaptive_threshold``, then flip to ``level-affinity``.  A shard
+      rate over the last ``ADAPTIVE_WINDOW`` executed batches reaches
+      ``ADAPTIVE_THRESHOLD``, then flip to ``level-affinity``.  A shard
       fed steady single-rung traffic keeps FIFO's exact global order; a
       shard hammered by rung-alternating bursts starts amortizing
       pattern residency on its own.  With ``adaptive_low_threshold`` set
@@ -198,29 +198,11 @@ class DeviceShard:
     ran, used by switch-aware placement scoring.
     """
 
-    def __init__(self, shard_id: int, drain_policy: str = "fifo",
-                 fairness_window: int = 4, adaptive_window: int = 8,
-                 adaptive_threshold: float = 0.5,
-                 adaptive_low_threshold: Optional[float] = None) -> None:
-        if drain_policy not in DRAIN_POLICIES:
-            raise ValueError(f"unknown drain policy {drain_policy!r}; "
-                             f"options: {list(DRAIN_POLICIES)}")
-        if fairness_window < 1:
-            raise ValueError("fairness_window must be at least 1")
-        if adaptive_window < 1:
-            raise ValueError("adaptive_window must be at least 1")
-        if not 0.0 < adaptive_threshold <= 1.0:
-            raise ValueError("adaptive_threshold must be in (0, 1]")
-        if adaptive_low_threshold is not None and not (
-                0.0 <= adaptive_low_threshold < adaptive_threshold):
-            raise ValueError(
-                "adaptive_low_threshold must be in [0, adaptive_threshold)")
+    def __init__(self, shard_id: int, config: ServeConfig = _DEFAULT) -> None:
         self.shard_id = shard_id
-        self.drain_policy = drain_policy
-        self.fairness_window = fairness_window
-        self.adaptive_window = adaptive_window
-        self.adaptive_threshold = adaptive_threshold
-        self.adaptive_low_threshold = adaptive_low_threshold
+        self.drain_policy = config.drain_policy
+        self.fairness_window = config.fairness_window
+        self.adaptive_low_threshold = config.adaptive_low_threshold
         self.queues: Dict[str, Deque[QueuedBatch]] = {}
         self.clock_s = 0.0
         # estimated not-yet-executed backlog — introspection only; routing
@@ -247,7 +229,7 @@ class DeviceShard:
         self._current_level: Optional[str] = None
         self._run = 0
         # adaptive drain: sliding window of per-batch device-switch flags
-        self._switch_history: Deque[bool] = deque(maxlen=adaptive_window)
+        self._switch_history: Deque[bool] = deque(maxlen=ADAPTIVE_WINDOW)
 
     def _base_policy(self) -> str:
         return "fifo" if self.drain_policy == "adaptive" else self.drain_policy
@@ -489,10 +471,10 @@ class DeviceShard:
             self.stats.switches += 1
         self._switch_history.append(switched)
         if (self.drain_policy != "adaptive"
-                or len(self._switch_history) < self.adaptive_window):
+                or len(self._switch_history) < ADAPTIVE_WINDOW):
             return
         if (self.stats.drain_policy == "fifo"
-                and self.switch_rate >= self.adaptive_threshold):
+                and self.switch_rate >= ADAPTIVE_THRESHOLD):
             # enough evidence of rung-thrashing: amortize pattern
             # residency from here on; history is cleared so a flip-back
             # decision only weighs batches executed *under* affinity
@@ -514,7 +496,7 @@ class DeviceShard:
 
 @dataclass
 class Dispatcher:
-    """Routes micro-batches to shards.
+    """Routes micro-batches to shards under ``config.policy``:
 
     - ``round-robin``   — batch ``seq`` goes to shard ``seq % N``; ignores
       load, so heterogeneous batch costs can pile onto one device.
@@ -535,16 +517,11 @@ class Dispatcher:
       outweighs it.
     """
 
-    policy: str = "round-robin"
+    config: ServeConfig = _DEFAULT
     # per-sparsity simulated swap cost (seconds), supplied by the engine
     # from its reconfigurator model; only consulted by ``switch-aware``
     switch_cost_s: Mapping[float, float] = field(default_factory=dict)
     routed: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown dispatch policy {self.policy!r}; options: {list(POLICIES)}")
 
     def _placement_cost(self, batch: QueuedBatch, shard: DeviceShard) -> float:
         """Estimated cost of assigning ``batch`` to ``shard``."""
@@ -565,9 +542,10 @@ class Dispatcher:
         """
         if not shards:
             raise ValueError("cannot route without shards")
-        if self.policy == "round-robin":
+        policy = self.config.policy
+        if policy == "round-robin":
             shard = shards[self.routed % len(shards)]
-        elif self.policy == "least-loaded":
+        elif policy == "least-loaded":
             shard = min(shards, key=lambda s: (s.assigned_est_s, s.shard_id))
         else:  # switch-aware
             shard = min(shards,

@@ -4,12 +4,14 @@ The `rt3 serve` CLI command and ``benchmarks/bench_serve.py`` serve the
 same tiny Transformer through the same ladder/adapter/engine recipe; this
 module is the single copy of that recipe so the CLI's behaviour cannot
 drift from the bench that is supposed to mirror it.
+:class:`StackConfig` is a :class:`~repro.serve.config.ServeConfig` plus
+the model-recipe fields, and the built engine holds it by reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,15 +20,13 @@ from repro.core.runtime_policy import RuntimeAdapter
 from repro.hardware.workload import WorkloadProfile, profile_from_model
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve.cache import ArtifactCache
-from repro.serve.decode import DecodeOptions
+from repro.serve.config import ServeConfig
 from repro.serve.engine import ServeEngine
-from repro.serve.faults import FaultPlan
-from repro.serve.streaming import StreamingEngine
 
 
-@dataclass
-class StackConfig:
-    """Knobs of the demo serving stack (defaults match the bench)."""
+@dataclass(frozen=True)
+class StackConfig(ServeConfig):
+    """Serving settings plus the demo model recipe (defaults match the bench)."""
 
     dim: int = 32
     vocab_size: int = 60
@@ -36,74 +36,16 @@ class StackConfig:
     patterns_per_set: int = 3
     sparsities: Sequence[float] = (0.3, 0.5, 0.7, 0.9)
     seed: int = 0
-    max_batch: int = 8
-    window_s: float = 0.05
     use_cache: bool = True
     # device memory reserved for resident masks/format conversions; the
     # ArtifactCache evicts size-aware LRU past this budget
     cache_budget_bytes: int = 8 << 20
-    verify: bool = False
-    devices: int = 1
-    policy: str = "round-robin"
-    time_sliced: bool = True
-    prewarm: bool = False
-    drain_policy: str = "fifo"
-    fairness_window: int = 4
-    # adaptive drain: per-shard flip to level-affinity once the observed
-    # switch rate over `adaptive_window` batches reaches the threshold;
-    # the optional lower band makes the flip reversible (hysteresis) —
-    # a shard whose post-flip switch rate collapses returns to fifo
-    adaptive_window: int = 8
-    adaptive_threshold: float = 0.5
-    adaptive_low_threshold: Optional[float] = None
-    # decode/fast-forward knobs travel as one grouped sub-config (the
-    # decode-lane sampling defaults plus the compiled-plane switch); the
-    # CLI's --decode-* and --no-fast-forward flags thread into it
-    decode: DecodeOptions = field(default_factory=DecodeOptions)
-    # deprecated flat alias for decode.fast_forward, kept so existing
-    # StackConfig(fast_forward=...) callers keep working; when set it
-    # overrides the grouped value at construction and reads stay in sync
-    fast_forward: Optional[bool] = None
-    # streaming=True builds the online StreamingEngine (submit/tick/drain)
-    # instead of the offline trace wrapper; max_wait_s overrides window_s
-    # as its admission window when set
-    streaming: bool = False
-    max_wait_s: Optional[float] = None
-    # fault tolerance: a FaultPlan of shard crash/stall/slow events (times
-    # are simulated seconds from session start), the admission overload
-    # defenses (shed_policy: none|reject|degrade, bounded queue), and the
-    # first re-probe interval for downed shards (doubling per miss)
-    faults: Optional[FaultPlan] = None
-    shed_policy: str = "none"
-    max_queue: Optional[int] = None
-    probe_backoff_s: float = 0.005
-    # scheduler defenses: deadline-driven preemption of placed work
-    # (off|queued|running), an engine-wide client cancellation timeout,
-    # per-tenant weighted fair shares of the bounded queue, and which
-    # batching-window estimate the shed policies consult ("remaining"
-    # charges only the open group's residual window; "full" keeps the
-    # historical whole-max_wait_s pessimism)
-    preempt_policy: str = "off"
-    cancel_after_s: Optional[float] = None
-    tenant_weights: Optional[Dict[str, float]] = None
-    admission_estimate: str = "remaining"
-
-    def __post_init__(self) -> None:
-        if self.fast_forward is not None:
-            self.decode.fast_forward = self.fast_forward
-        self.fast_forward = self.decode.fast_forward
 
 
 def build_serving_stack(cfg: Optional[StackConfig] = None
-                        ) -> Tuple[TransformerLM, WorkloadProfile,
-                                   Union[ServeEngine, StreamingEngine]]:
-    """Model + workload profile + ready-to-serve engine.
-
-    With ``cfg.streaming=True`` the third element is the online
-    :class:`StreamingEngine` session; otherwise the offline
-    :class:`ServeEngine` wrapper (whose :meth:`~ServeEngine.streaming`
-    hands out a session on demand).
-    """
+                        ) -> Tuple[TransformerLM, WorkloadProfile, ServeEngine]:
+    """Model + workload profile + ready-to-serve offline engine (whose
+    :meth:`~ServeEngine.streaming` hands out online sessions)."""
     cfg = cfg or StackConfig()
     model = TransformerLM(TransformerConfig(
         vocab_size=cfg.vocab_size, dim=cfg.dim, num_heads=2,
@@ -117,23 +59,4 @@ def build_serving_stack(cfg: Optional[StackConfig] = None
                              hardware_pattern_size=cfg.pattern_size)
     cache = (ArtifactCache(budget_bytes=cfg.cache_budget_bytes)
              if cfg.use_cache else None)
-    engine = ServeEngine(model, adapter, max_batch=cfg.max_batch,
-                         window_s=cfg.window_s, cache=cache, verify=cfg.verify,
-                         devices=cfg.devices, policy=cfg.policy,
-                         time_sliced=cfg.time_sliced, prewarm=cfg.prewarm,
-                         drain_policy=cfg.drain_policy,
-                         fairness_window=cfg.fairness_window,
-                         adaptive_window=cfg.adaptive_window,
-                         adaptive_threshold=cfg.adaptive_threshold,
-                         adaptive_low_threshold=cfg.adaptive_low_threshold,
-                         decode=cfg.decode,
-                         faults=cfg.faults, shed_policy=cfg.shed_policy,
-                         max_queue=cfg.max_queue,
-                         probe_backoff_s=cfg.probe_backoff_s,
-                         preempt_policy=cfg.preempt_policy,
-                         cancel_after_s=cfg.cancel_after_s,
-                         tenant_weights=cfg.tenant_weights,
-                         admission_estimate=cfg.admission_estimate)
-    if cfg.streaming:
-        return model, workload, engine.streaming(max_wait_s=cfg.max_wait_s)
-    return model, workload, engine
+    return model, workload, ServeEngine(model, adapter, cfg, cache=cache)

@@ -107,24 +107,10 @@ from repro.serve.batcher import (
     run_padded,
 )
 from repro.serve.cache import ArtifactCache, CacheStats
-from repro.serve.decode import DecodeJob, DecodeOptions
-from repro.serve.faults import (
-    PREEMPT_POLICIES,
-    SHED_POLICIES,
-    CancelRecord,
-    FaultInjector,
-    FaultPlan,
-    ShardFault,
-    ShedRecord,
-)
-from repro.serve.sharding import (
-    DRAIN_POLICIES,
-    POLICIES,
-    DeviceShard,
-    Dispatcher,
-    QueuedBatch,
-    ShardStats,
-)
+from repro.serve.config import ServeConfig, resolve_config
+from repro.serve.decode import DecodeJob
+from repro.serve.faults import CancelRecord, ShardFault, ShedRecord
+from repro.serve.sharding import DeviceShard, Dispatcher, QueuedBatch, ShardStats
 
 # event-kind priorities: at one simulated instant, fault events land
 # before cancellations before admissions before batch windows close
@@ -133,6 +119,8 @@ from repro.serve.sharding import (
 # failed-over work, so cancel-during-failover is deterministic)
 _FAULT, _CANCEL = -2, -1
 _ARRIVAL, _WINDOW_CLOSE, _SHARD_READY = 0, 1, 2
+
+_LEVELS = DVFSTable()
 
 
 @dataclass
@@ -155,6 +143,9 @@ class ServeReport:
     cancelled: List[CancelRecord] = field(default_factory=list)
     submitted: int = 0
     completed: int = 0
+    # per tenant: completed / degraded / slo_misses counts of the
+    # completions released so far (kept even when results are not)
+    tenant_done: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     # -- request-level aggregates --------------------------------------
     @property
@@ -298,10 +289,10 @@ class ServeReport:
     def tenant_breakdown(self) -> Dict[str, Dict[str, int]]:
         """Terminal-state counts per tenant (completed/shed/cancelled).
 
-        Built from the retained result/shed/cancel records, so under
-        conservation the per-tenant counts sum to that tenant's
-        submissions.  (A ``retain_results=False`` session drops result
-        records as they release, so only shed/cancelled survive there.)
+        Completions are counted as :meth:`StreamingEngine.tick`/``drain``
+        release them, so a ``retain_results=False`` session reports the
+        same counts as a retaining one; under conservation a drained
+        session's per-tenant counts sum to that tenant's submissions.
         """
         out: Dict[str, Dict[str, int]] = {}
 
@@ -310,13 +301,8 @@ class ServeReport:
                 "completed": 0, "shed": 0, "cancelled": 0,
                 "degraded": 0, "slo_misses": 0})
 
-        for r in self.results:
-            s = slot(r.request.tenant)
-            s["completed"] += 1
-            if r.degraded:
-                s["degraded"] += 1
-            if not r.met_slo:
-                s["slo_misses"] += 1
+        for tenant, counts in self.tenant_done.items():
+            slot(tenant).update(counts)
         for rec in self.shed:
             slot(rec.request.tenant)["shed"] += 1
         for rec in self.cancelled:
@@ -403,103 +389,48 @@ class StreamingEngine:
     shards (with their installed-pattern state) for its whole lifetime.
     ``adapter`` supplies the sparsity ladder, latency model and (via its
     ``manager``) the mask installation path; ``cache`` memoizes mask
-    derivation and sparse-format conversion across batches.
+    derivation and sparse-format conversion across batches.  ``config``
+    (a :class:`~repro.serve.config.ServeConfig`, shared by reference)
+    holds every serving setting; keyword ``settings`` build or override
+    one, e.g. ``StreamingEngine(model, adapter, max_batch=4)``.
 
     ``initial_device_state`` maps shard id → installed sparsity for
     devices provisioned before this session (a device that served an
     earlier trace keeps its masks); unlisted shards start from the
-    adapter's own installed state.  ``verify`` re-runs every batch
-    member individually and records the worst absolute deviation —
-    padding exactness at roughly double the compute, excluded from the
-    measured wall time.
+    adapter's own installed state.
 
     ``retain_results=False`` drops each request's result record (and its
     output array) once it is handed out by :meth:`tick`/:meth:`drain`,
     bounding a long-lived session's memory; :meth:`report` then carries
-    only the aggregate shard/event accounting, so per-request latency
-    percentiles must be computed by the caller from the released
-    completions.
+    the aggregate shard/event accounting and the per-tenant counts, so
+    per-request latency percentiles must be computed by the caller from
+    the released completions.
     """
 
-    def __init__(self, model, adapter: RuntimeAdapter, *, max_batch: int = 8,
-                 max_wait_s: float = 0.05, cache: Optional[ArtifactCache] = None,
-                 pad_id: int = 0, dvfs: Optional[DVFSTable] = None,
-                 verify: bool = False, reinstall_per_batch: bool = True,
-                 devices: int = 1, policy: str = "round-robin",
-                 time_sliced: bool = True, prewarm: bool = False,
-                 drain_policy: str = "fifo", fairness_window: int = 4,
-                 adaptive_window: int = 8, adaptive_threshold: float = 0.5,
-                 adaptive_low_threshold: Optional[float] = None,
+    def __init__(self, model, adapter: RuntimeAdapter,
+                 config: Optional[ServeConfig] = None, *,
+                 cache: Optional[ArtifactCache] = None,
                  initial_device_state: Optional[Dict[int, Optional[float]]] = None,
-                 retain_results: bool = True,
-                 fast_forward: bool = True,
-                 decode: Optional[DecodeOptions] = None,
-                 faults: Optional[FaultPlan] = None,
-                 shed_policy: str = "none",
-                 max_queue: Optional[int] = None,
-                 probe_backoff_s: float = 0.005,
-                 preempt_policy: str = "off",
-                 cancel_after_s: Optional[float] = None,
-                 tenant_weights: Optional[Dict[str, float]] = None,
-                 admission_estimate: str = "remaining") -> None:
-        if devices < 1:
-            raise ValueError("devices must be at least 1")
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown dispatch policy {policy!r}; options: {list(POLICIES)}")
-        if drain_policy not in DRAIN_POLICIES:
-            raise ValueError(f"unknown drain policy {drain_policy!r}; "
-                             f"options: {list(DRAIN_POLICIES)}")
-        if not np.isfinite(max_wait_s) or max_wait_s < 0:
-            raise ValueError("max_wait_s must be finite and non-negative")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(f"unknown shed policy {shed_policy!r}; "
-                             f"options: {list(SHED_POLICIES)}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError("max_queue must be at least 1 (or None)")
-        if preempt_policy not in PREEMPT_POLICIES:
-            raise ValueError(f"unknown preempt policy {preempt_policy!r}; "
-                             f"options: {list(PREEMPT_POLICIES)}")
-        if cancel_after_s is not None and (
-                not np.isfinite(cancel_after_s) or cancel_after_s <= 0):
-            raise ValueError(
-                "cancel_after_s must be finite and positive (or None)")
-        if tenant_weights is not None:
-            for tenant, weight in tenant_weights.items():
-                if not tenant:
-                    raise ValueError("tenant names must be non-empty")
-                if np.isnan(weight) or not np.isfinite(weight) or weight <= 0:
-                    raise ValueError(
-                        f"tenant weight for {tenant!r} must be finite and "
-                        "positive")
-        if admission_estimate not in ("remaining", "full"):
-            raise ValueError(
-                f"unknown admission estimate {admission_estimate!r}; "
-                "options: ['remaining', 'full']")
+                 retain_results: bool = True, **settings) -> None:
+        if "max_wait_s" in settings:
+            # the session-side name of window_s, kept because perfbench
+            # builds sessions as StreamingEngine(..., max_wait_s=)
+            settings["window_s"] = settings.pop("max_wait_s")
+        self.config = config = resolve_config(config, settings)
         self.model = model
         self.adapter = adapter
         self.cache = cache
         if cache is not None and adapter.manager is not None:
             adapter.manager.attach_cache(cache)
-        self.pad_id = pad_id
-        self.dvfs = dvfs or DVFSTable()
-        self.verify = verify
-        self.reinstall_per_batch = reinstall_per_batch
         # serve-path forwards default to the compiled zero-autograd plan
         # (bit-identical to the eager path); the plan is built lazily on
         # the first executed batch and recompiles itself only when a
         # weight or installed mask actually changes (O(1) token check).
-        # The grouped DecodeOptions is authoritative when supplied; the
-        # flat fast_forward kwarg survives for callers predating it.
-        self.decode_options = (decode if decode is not None
-                               else DecodeOptions(fast_forward=fast_forward))
-        self.fast_forward = self.decode_options.fast_forward
+        # Cleared when the model cannot compile.
+        self.fast_forward = config.decode.fast_forward
         self._plan = None
         self._decoder = None
         self._decoder_tried = False
-        self.time_sliced = time_sliced
-        self.prewarm = prewarm
-        self.policy = policy
         self.ladder: Dict[float, object] = dict(adapter.candidates)
         self.fallback_sparsity: float = adapter.candidates[-1][0]
         self._switch_cost_s: Dict[float, float] = {
@@ -507,15 +438,10 @@ class StreamingEngine:
                 adapter.workload, len(pset),
                 adapter.hardware_pattern_size).seconds
             for sparsity, pset in self.ladder.items()}
-        self.admission = AdmissionQueue(max_batch, max_wait_s,
+        self.admission = AdmissionQueue(config.max_batch, config.window_s,
                                         key_fn=self._compat_key)
-        self.dispatcher = Dispatcher(policy, switch_cost_s=self._switch_cost_s)
-        self.shards = [DeviceShard(i, drain_policy=drain_policy,
-                                   fairness_window=fairness_window,
-                                   adaptive_window=adaptive_window,
-                                   adaptive_threshold=adaptive_threshold,
-                                   adaptive_low_threshold=adaptive_low_threshold)
-                       for i in range(devices)]
+        self.dispatcher = Dispatcher(config, switch_cost_s=self._switch_cost_s)
+        self.shards = [DeviceShard(i, config) for i in range(config.devices)]
         state = dict(initial_device_state or {})
         for shard in self.shards:
             # a device resumes with whatever it had installed last session;
@@ -540,20 +466,7 @@ class StreamingEngine:
         self._wall = 0.0
         self._cache_start = (cache.stats.snapshot()
                              if cache is not None else None)
-        # -- fault tolerance + admission control -----------------------
-        self.shed_policy = shed_policy
-        self.max_queue = max_queue
-        self.injector = (FaultInjector(faults, devices, probe_backoff_s)
-                         if faults is not None else None)
-        # -- preemption / cancellation / tenant isolation --------------
-        self.preempt_policy = preempt_policy
-        self.cancel_after_s = cancel_after_s
-        self.tenant_weights = (dict(tenant_weights)
-                               if tenant_weights is not None else None)
-        # "remaining" charges only the open group's residual batching
-        # window in the shed estimate; "full" keeps the historical
-        # full-max_wait_s pessimism for digest replay
-        self.admission_estimate = admission_estimate
+        # -- cancellation / shedding -----------------------------------
         self._cancelled: List[CancelRecord] = []
         # requests cancelled before their arrival event was processed,
         # and the ids whose arrivals have been processed (so a cancel
@@ -563,6 +476,8 @@ class StreamingEngine:
         self._shed: List[ShedRecord] = []
         self._submitted = 0
         self._completed = 0
+        # per tenant: completions handed out by tick()/drain()
+        self._tenant_done: Dict[str, Dict[str, int]] = {}
         # work that had nowhere to go during a total outage, held until
         # a shard rejoins (or shed if the last recovery is cancelled)
         self._parked: List[QueuedBatch] = []
@@ -571,8 +486,8 @@ class StreamingEngine:
         # can straddle a later crash instant (events process in time
         # order, so everything earlier finished before this one began)
         self._inflight: Dict[int, tuple] = {}
-        if self.injector is not None:
-            for f in self.injector.ordered():
+        if config.faults is not None:
+            for f in config.faults.ordered():
                 heapq.heappush(self._heap, (f.at_s, _FAULT,
                                             next(self._tiebreak),
                                             ("fault", f)))
@@ -591,8 +506,9 @@ class StreamingEngine:
         """Wall seconds spent on verification (excluded from wall_seconds)."""
         return self._verify_wall
 
-    def _level(self, name: str) -> VFLevel:
-        return self.dvfs[name]
+    @staticmethod
+    def _level(name: str) -> VFLevel:
+        return _LEVELS[name]
 
     def _forward(self):
         """The compiled zero-autograd forward plan (None = eager path)."""
@@ -709,7 +625,7 @@ class StreamingEngine:
                 f"request {request.req_id} arrives at {request.arrival_s:.6f}s "
                 f"but the loop already advanced to {self.now_s:.6f}s")
         cfg = (config if config is not None
-               else self.decode_options.generation_config()).validate()
+               else self.config.decode.generation_config()).validate()
         job = DecodeJob(request=request, config=cfg)
         self._submitted += 1
         heapq.heappush(self._heap, (request.arrival_s, _ARRIVAL,
@@ -798,7 +714,8 @@ class StreamingEngine:
 
     def report(self) -> ServeReport:
         """Digest of everything executed so far (deterministic order)."""
-        report = ServeReport(policy=self.policy, time_sliced=self.time_sliced)
+        report = ServeReport(policy=self.config.policy,
+                             time_sliced=self.config.time_sliced)
         report.results = sorted(
             (r for r in self._results if not r.canceled),
             key=lambda r: (r.batch_id, r.request.req_id))
@@ -809,6 +726,7 @@ class StreamingEngine:
         report.cancelled = list(self._cancelled)
         report.submitted = self._submitted
         report.completed = self._completed
+        report.tenant_done = {t: dict(c) for t, c in self._tenant_done.items()}
         report.wall_seconds = max(0.0, self._wall - self._verify_wall)
         if self.cache is not None:
             # delta over this session only: each report describes its own
@@ -819,7 +737,7 @@ class StreamingEngine:
                 misses=end.misses - self._cache_start.misses,
                 evictions=end.evictions - self._cache_start.evictions,
                 invalidations=end.invalidations - self._cache_start.invalidations)
-        if self.verify:
+        if self.config.verify:
             report.max_verify_error = self._worst_err
         return report
 
@@ -941,8 +859,7 @@ class StreamingEngine:
         if not went_down:
             return  # overlapping crash: the outage was extended, that's all
         if np.isfinite(duration_s):
-            backoff = (self.injector.probe_backoff_s
-                       if self.injector is not None else 0.005)
+            backoff = self.config.probe_backoff_s
             self._push_fault(now + backoff, ("probe", shard.shard_id, backoff))
         for qb in batches:
             qb.requeues += 1  # every failover is charged like a switch
@@ -1138,7 +1055,7 @@ class StreamingEngine:
             SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
 
     def _admission_estimate_s(self, now: float, service_s: float,
-                              key: Optional[Hashable] = None) -> float:
+                              key: Hashable) -> float:
         """Deterministic completion estimate for a request arriving now.
 
         Pessimistic by design: the batching-window wait, plus the
@@ -1148,24 +1065,20 @@ class StreamingEngine:
         the executed event history, so the estimate — and therefore the
         shed decision — is tick-granularity independent.
 
-        The default ``"remaining"`` estimate charges only the residual
-        window of the open group a ``key``-compatible request would
-        actually join (nothing at all when the admission would flush it
-        full); the historical ``"full"`` mode always charged a whole
-        ``max_wait_s``, which over-shed mid-window arrivals badly enough
-        that the docs used to recommend shrinking ``--window-ms`` to
-        compensate.
+        The window wait is only the residual window of the open group a
+        ``key``-compatible request would actually join (nothing at all
+        when the admission would flush it full), and a whole window when
+        it would open a new group.
         """
         avail = self._available_shards()
         if not avail:
             return float("inf")
         free = min(max(s.clock_s, now) + s.pending_s for s in avail)
         wait = now + self.max_wait_s
-        if self.admission_estimate == "remaining" and key is not None:
-            group = self.admission.open_group(key)
-            if group is not None:
-                wait = (now if len(group.requests) + 1 >= self.max_batch
-                        else group.deadline_s)
+        group = self.admission.open_group(key)
+        if group is not None:
+            wait = (now if len(group.requests) + 1 >= self.max_batch
+                    else group.deadline_s)
         return max(wait, free) + service_s
 
     def _tenant_share(self, tenant: str) -> float:
@@ -1176,7 +1089,8 @@ class StreamingEngine:
         least one request in the system, so every live tenant makes
         progress even under a hot-tenant flood.
         """
-        weights = self.tenant_weights or {}
+        max_queue = self.config.max_queue
+        weights = self.config.tenant_weights or {}
         total = sum(weights.values())
         if tenant in weights:
             w = weights[tenant]
@@ -1184,9 +1098,9 @@ class StreamingEngine:
             # unlisted tenants join as weight-1 participants
             w = 1.0
             total += 1.0
-        if self.max_queue is None or total <= 0:
+        if max_queue is None or total <= 0:
             return float("inf")
-        return max(1.0, self.max_queue * w / total)
+        return max(1.0, max_queue * w / total)
 
     def _tenant_backlog(self, tenant: str) -> int:
         """This tenant's live requests waiting anywhere in the system.
@@ -1219,17 +1133,18 @@ class StreamingEngine:
         the survivors form exactly the batches a fault-free serve of the
         surviving set would form (the bit-exactness invariant).
         """
-        if self.max_queue is not None and self.backlog() >= self.max_queue:
+        cfg = self.config
+        if cfg.max_queue is not None and self.backlog() >= cfg.max_queue:
             self._shed_request(request, now, "queue_full")
             return False
-        if (self.tenant_weights is not None and self.max_queue is not None
+        if (cfg.tenant_weights is not None and cfg.max_queue is not None
                 and (self._tenant_backlog(request.tenant)
                      >= self._tenant_share(request.tenant))):
             # weighted fair admission: the tenant flooded past its share
             # of the bounded queue; everyone else's share stays intact
             self._shed_request(request, now, "tenant_quota")
             return False
-        if self.shed_policy == "none":
+        if cfg.shed_policy == "none":
             return True
         level = self._level(request.level_name)
         budget = request.arrival_s + request.slo
@@ -1239,7 +1154,7 @@ class StreamingEngine:
             key=(request.level_name, resolved))
         if resolved is not None and est <= budget:
             return True
-        if self.shed_policy == "degrade":
+        if cfg.shed_policy == "degrade":
             # the paper's accuracy-for-deadline trade as an overload
             # response: walk the sparser (faster) rungs, least degraded
             # first, and serve at the first one whose estimate fits the
@@ -1276,17 +1191,18 @@ class StreamingEngine:
             self._cancel_pending.discard(req.req_id)
             self._record_cancel(req, now, "pre_admission")
             return
-        if self.cancel_after_s is not None:
+        cfg = self.config
+        if cfg.cancel_after_s is not None:
             # engine-wide client timeout: every arrival arms a cancel at
             # arrival + cancel_after_s (a no-op if it completes first)
             heapq.heappush(self._heap,
-                           (now + self.cancel_after_s, _CANCEL,
+                           (now + cfg.cancel_after_s, _CANCEL,
                             next(self._tiebreak), req.req_id))
         if isinstance(request, DecodeJob):
             self._place_decode(request, now)
             return
-        if ((self.shed_policy != "none" or self.max_queue is not None
-                or self.tenant_weights is not None)
+        if ((cfg.shed_policy != "none" or cfg.max_queue is not None
+                or cfg.tenant_weights is not None)
                 and not self._admission_control(request, now)):
             return
         full, window = self.admission.add(request, now)
@@ -1328,13 +1244,13 @@ class StreamingEngine:
         shard = self._dispatch_batch(qb)
         if shard is None:
             return  # total outage: parked for recovery or shed, not lost
-        if (self.prewarm and shard.shard_id not in self._prewarmed
+        if (self.config.prewarm and shard.shard_id not in self._prewarmed
                 and shard.active_sparsity is None and sparsity is not None):
             # deploy-time provisioning: the device's first pattern set is
             # installed before traffic, so it is not charged to the timeline
             shard.active_sparsity = sparsity
         self._prewarmed.add(shard.shard_id)
-        if self.preempt_policy != "off":
+        if self.config.preempt_policy != "off":
             self._maybe_preempt(shard, qb, self.now_s)
 
     # ------------------------------------------------------------------
@@ -1402,7 +1318,7 @@ class StreamingEngine:
                 moved.add(victim.seq)
                 self._dispatch_batch(victim)
                 continue
-            if self.preempt_policy == "running":
+            if self.config.preempt_policy == "running":
                 entry = self._inflight.get(shard.shard_id)
                 if (entry is not None and entry[0] == "batch"
                         and entry[-1] > now
@@ -1499,26 +1415,24 @@ class StreamingEngine:
         level = self._level(qb.level_name)
         event, effective, switch_s, installed = \
             self._resolve_operating_point(shard, level, qb)
-        pset = self.ladder[effective]
-        manager = self.adapter.manager
-        if manager is not None and (self.reinstall_per_batch
-                                    or manager.active_set is not pset):
-            manager.apply(pset)
+        # the device re-installs its masks before every batch (a stateless
+        # execution context; the artifact cache turns repeats into lookups)
+        if self.adapter.manager is not None:
+            self.adapter.manager.apply(self.ladder[effective])
         # keep the shared adapter's view in sync with the masks resident on
         # the model, so code mixing the loop with direct adapter.adapt
         # calls never re-charges a switch for an already-installed set
         self.adapter.active_sparsity = effective
         fwd = self._forward()
-        outputs = run_padded(self.model, group, self.pad_id, forward=fwd)
+        outputs = run_padded(self.model, group, forward=fwd)
         done = set(qb.done_ids)
-        if self.verify:
+        if self.config.verify:
             # excluded from the timed hot path: doubles the compute
             verify_start = time.perf_counter()
             for req, out in zip(group, outputs):
                 if req.req_id in done:
                     continue
-                solo = run_padded(self.model, [req], self.pad_id,
-                                  forward=fwd)[0]
+                solo = run_padded(self.model, [req], forward=fwd)[0]
                 self._worst_err = max(self._worst_err,
                                       float(np.abs(out - solo).max()))
             self._verify_wall += time.perf_counter() - verify_start
@@ -1542,14 +1456,14 @@ class StreamingEngine:
         completion = begin + service
         shard.record(qb, service, completion, installed,
                      members=(len(group) - len(done)) if done else None)
+        sliced = self.config.time_sliced
         emitted: List[RequestResult] = []
         for i, (req, out) in enumerate(zip(group, outputs)):
             if req.req_id in done:
                 # completed before the crash that requeued this batch;
                 # the original (bit-identical) result already stands
                 continue
-            member_service = (switch_s + offsets[i]
-                              if self.time_sliced else service)
+            member_service = switch_s + offsets[i] if sliced else service
             result = RequestResult(
                 request=req, output=out, batch_id=qb.seq,
                 batch_size=len(group),
@@ -1605,15 +1519,12 @@ class StreamingEngine:
             qb = QueuedBatch(seq, reqs, key[0], begin, 0.0, sparsity=key[1])
             event, effective, switch_s, installed = \
                 self._resolve_operating_point(shard, level, qb)
-            pset = self.ladder[effective]
-            manager = self.adapter.manager
-            if manager is not None and (self.reinstall_per_batch
-                                        or manager.active_set is not pset):
+            if self.adapter.manager is not None:
                 # an identical re-install keeps every cache_token stable,
                 # so the decode plane's KV state survives; a real switch
                 # bumps the tokens and invalidates it — the correctness
                 # the recompile-on-mask-install tests pin
-                manager.apply(pset)
+                self.adapter.manager.apply(self.ladder[effective])
             self.adapter.active_sparsity = effective
             emitted = session.step()
             per_token = self.adapter.latency.batch_latency_s(
@@ -1657,8 +1568,16 @@ class StreamingEngine:
         out = []
         while self._pending_done and self._pending_done[0][0] <= until_s:
             result = heapq.heappop(self._pending_done)[2]
-            if not result.canceled:
-                # a canceled result was retracted by a crash before its
-                # completion instant; its request re-executes elsewhere
-                out.append(result)
+            if result.canceled:
+                # retracted before its completion instant (crash,
+                # preemption or cancel); never handed out
+                continue
+            out.append(result)
+            counts = self._tenant_done.get(result.request.tenant)
+            if counts is None:
+                counts = self._tenant_done[result.request.tenant] = {
+                    "completed": 0, "degraded": 0, "slo_misses": 0}
+            counts["completed"] += 1
+            counts["degraded"] += result.degraded
+            counts["slo_misses"] += not result.met_slo
         return out

@@ -1,4 +1,4 @@
-"""KV-cached decode plane + DecodeSession API: exactness, edge cases, shim.
+"""KV-cached decode plane + DecodeSession API: exactness, edge cases.
 
 The contract under test is bit-identity: every token and logprob a
 compiled, continuously-batched decode stream produces must equal (``==``,
@@ -10,12 +10,10 @@ leave the rolling batch around it.
 import numpy as np
 import pytest
 
-import repro.nn.generation as generation
 from repro.core.patterns import MaskManager, random_pattern_set
 from repro.nn.generation import (
     DecodeSession,
     GenerationConfig,
-    generate,
     sample_token,
 )
 from repro.nn.inference import ScratchPool, compile_decode
@@ -389,51 +387,20 @@ class TestDecodeEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# the deprecated free-function shim
+# the validation contract of the removed generate() shim, on DecodeSession
 # ---------------------------------------------------------------------------
 
 class TestGenerateShim:
-    def test_warns_once_and_matches_session(self, monkeypatch):
-        monkeypatch.setattr(generation, "_GENERATE_DEPRECATION_WARNED", False)
-        model = make_model("lm")
-        prompt = np.random.default_rng(0).integers(0, 60, size=5)
-        with pytest.warns(DeprecationWarning, match="DecodeSession"):
-            a = generate(model, prompt, 6, top_k=4, seed=9)
-        with warnings_none():
-            b = generate(model, prompt, 6, top_k=4, seed=9)
-        assert np.array_equal(a.tokens, b.tokens)
-        assert a.logprobs == b.logprobs
-        # the historical eval->train round trip survives the shim
-        assert model.training
-        got = run_session(model, prompt,
-                          GenerationConfig(max_new_tokens=6, top_k=4, seed=9))
-        assert np.array_equal(a.tokens, got.tokens)
-
     @pytest.mark.parametrize("kwargs,msg", [
         (dict(max_new_tokens=0), "max_new_tokens must be >= 1"),
         (dict(max_new_tokens=3, temperature=0.0), "temperature must be positive"),
         (dict(max_new_tokens=3, top_k=0), "top_k must be >= 1"),
     ])
     def test_validation_errors_preserved(self, kwargs, msg):
-        model = make_model("lm")
-        prompt = [1, 2, 3]
         with pytest.raises(ValueError, match=msg):
-            generate(model, prompt, **kwargs)
+            run_session(make_model("lm"), [1, 2, 3], GenerationConfig(**kwargs))
 
     def test_empty_prompt_rejected(self):
-        with pytest.raises(ValueError, match="prompt cannot be empty"):
-            generate(make_model("lm"), [], 3)
         session = DecodeSession(make_model("lm"))
         with pytest.raises(ValueError, match="prompt cannot be empty"):
             session.submit_prompt([])
-
-
-import contextlib
-import warnings as _warnings
-
-
-@contextlib.contextmanager
-def warnings_none():
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", DeprecationWarning)
-        yield

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.block_pruning import BlockPruningConfig, apply_block_pruning
-from repro.nn import FitConfig, MaskedAdam, TrainingHistory, fit, generate
-from repro.nn.generation import generate_with_deadline
+from repro.nn import FitConfig, MaskedAdam, TrainingHistory, fit
+from repro.nn.generation import (
+    DecodeSession,
+    GenerationConfig,
+    generate_with_deadline,
+)
 from repro.nn.lr_scheduler import StepLR
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
@@ -64,6 +68,18 @@ class TestMaskedAdam:
         for name, layer in prunable_linears(tiny_transformer).items():
             dead = report.masks[name] == 0.0
             assert np.all(layer.weight.data[dead] == 0.0), name
+
+
+def generate(model, prompt, max_new_tokens, **sampling):
+    """One stream continued through a DecodeSession."""
+    session = DecodeSession(model, GenerationConfig(
+        max_new_tokens=max_new_tokens, **sampling))
+    try:
+        sid = session.submit_prompt(prompt)
+        session.run()
+        return session.result(sid)
+    finally:
+        session.close()
 
 
 class TestGeneration:

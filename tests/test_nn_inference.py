@@ -11,6 +11,7 @@ from repro.nn.optim import SGD
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
     ArtifactCache,
+    DecodeOptions,
     InferenceRequest,
     ScenarioConfig,
     StackConfig,
@@ -346,7 +347,8 @@ class TestValidation:
 
 def serve_report(fast_forward, seed=0, requests=24):
     _, workload, engine = build_serving_stack(StackConfig(
-        seed=seed, fast_forward=fast_forward, verify=True))
+        seed=seed, decode=DecodeOptions(fast_forward=fast_forward),
+        verify=True))
     trace = build_scenario("bursty", workload,
                           ScenarioConfig(num_requests=requests, seed=seed))
     return engine.serve(trace)
@@ -393,7 +395,7 @@ class TestServingIntegration:
 
     def test_eager_serve_never_records_grad_graph(self):
         _, workload, engine = build_serving_stack(StackConfig(
-            seed=1, fast_forward=False))
+            seed=1, decode=DecodeOptions(fast_forward=False)))
         trace = build_scenario("steady", workload,
                                ScenarioConfig(num_requests=16, seed=1))
         created = []
@@ -423,7 +425,7 @@ class TestServingIntegration:
         assert core._forward() is plan  # built once, reused
 
     def test_serve_engine_exposes_fast_forward_flag(self):
-        _, _, engine = build_serving_stack(StackConfig(seed=0,
-                                                       fast_forward=False))
-        assert engine.fast_forward is False
+        _, _, engine = build_serving_stack(StackConfig(
+            seed=0, decode=DecodeOptions(fast_forward=False)))
+        assert engine.config.decode.fast_forward is False
         assert engine.streaming().fast_forward is False

@@ -275,7 +275,7 @@ class TestServeEngine:
         # an online batcher cannot know the stream ended: the lone request
         # waits out the full window before dispatch
         assert report.results[0].queue_wait_s == pytest.approx(
-            engine.batcher.window_s)
+            engine.config.window_s)
 
     def test_infeasible_deadline_no_phantom_switches(self):
         model = TransformerLM(LM_CFG).eval()

@@ -97,9 +97,9 @@ class TestServeDecode:
         assert "decode_streams" not in report.summary()
 
     def test_streaming_mixed_batch_and_decode(self):
-        cfg = StackConfig(seed=3, streaming=True,
+        cfg = StackConfig(seed=3,
                           decode=DecodeOptions(max_new_tokens=4, seed=5))
-        _, _, core = build_serving_stack(cfg)
+        core = build_serving_stack(cfg)[2].streaming()
         rng = np.random.default_rng(1)
         for i in range(3):
             toks = rng.integers(0, cfg.vocab_size, size=5).tolist()
@@ -123,9 +123,8 @@ class TestServeDecode:
     def test_same_tick_join_and_leave(self):
         """A one-token stream finishes on the very boundary a later
         stream joins; both stay exact and both complete."""
-        cfg = StackConfig(seed=3, streaming=True,
-                          decode=DecodeOptions(max_new_tokens=1))
-        _, _, core = build_serving_stack(cfg)
+        cfg = StackConfig(seed=3, decode=DecodeOptions(max_new_tokens=1))
+        core = build_serving_stack(cfg)[2].streaming()
         rng = np.random.default_rng(2)
         p1 = rng.integers(0, cfg.vocab_size, size=4).tolist()
         p2 = rng.integers(0, cfg.vocab_size, size=6).tolist()
@@ -147,8 +146,7 @@ class TestServeDecode:
             assert np.array_equal(r.output.tokens, ref.tokens)
 
     def test_submit_decode_rejects_stale_arrival(self):
-        cfg = StackConfig(seed=0, streaming=True)
-        _, _, core = build_serving_stack(cfg)
+        core = build_serving_stack(StackConfig(seed=0))[2].streaming()
         core.submit_decode(InferenceRequest(req_id=0, tokens=[1, 2, 3],
                                             level_name="l2", arrival_s=0.0))
         core.drain()
@@ -159,7 +157,8 @@ class TestServeDecode:
 
     def test_eager_fallback_path(self):
         """fast_forward=False decodes eagerly, same results surface."""
-        _, _, engine = build_serving_stack(StackConfig(fast_forward=False))
+        _, _, engine = build_serving_stack(StackConfig(
+            decode=DecodeOptions(fast_forward=False)))
         report = engine.serve_decode(
             [InferenceRequest(req_id=0, tokens=[1, 2, 3], level_name="l2",
                               arrival_s=0.0)],
@@ -173,18 +172,11 @@ class TestDecodeOptionsConfig:
         opts = DecodeOptions(max_new_tokens=3, top_k=2, fast_forward=False)
         cfg = StackConfig(decode=opts)
         assert cfg.decode is opts
-        assert cfg.fast_forward is False  # flat read stays in sync
         _, _, engine = build_serving_stack(cfg)
-        assert engine.decode_options is opts
-        assert engine.fast_forward is False
-        assert engine.streaming().decode_options is opts
-
-    def test_flat_alias_overrides_grouped_default(self):
-        cfg = StackConfig(fast_forward=False)
-        assert cfg.decode.fast_forward is False
-        cfg2 = StackConfig()
-        assert cfg2.fast_forward is True
-        assert cfg2.decode.fast_forward is True
+        assert engine.config is cfg  # shared by reference, never copied
+        core = engine.streaming()
+        assert core.config is cfg
+        assert core.fast_forward is False
 
     def test_generation_config_derivation(self):
         opts = DecodeOptions(max_new_tokens=4, top_k=3, temperature=0.5,

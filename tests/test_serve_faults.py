@@ -25,10 +25,10 @@ from repro.cli import main as cli_main
 from repro.nn.generation import GenerationConfig
 from repro.serve import (
     DecodeOptions,
-    FaultInjector,
     FaultPlan,
     InferenceRequest,
     ScenarioConfig,
+    ServeConfig,
     ShardFault,
     StackConfig,
     build_scenario,
@@ -186,9 +186,11 @@ class TestFaultPlan:
             FaultPlan.outage(7, 0.1).validate(devices=4)
 
     def test_injector_validates_backoff(self):
+        # the config that binds a plan to a fleet checks its re-probe
+        # backoff up front
         plan = FaultPlan.outage(0, 0.1)
         with pytest.raises(ValueError, match="probe_backoff_s"):
-            FaultInjector(plan, devices=1, probe_backoff_s=0.0)
+            ServeConfig(faults=plan, devices=1, probe_backoff_s=0.0)
 
 
 class TestFlakyOverlay:

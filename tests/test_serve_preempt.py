@@ -20,7 +20,6 @@ pulled back from), the remaining-window admission estimate, the
 and the CLI knob validation.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -318,6 +317,28 @@ class TestTenantIsolation:
             assert total == per_tenant[tenant]
 
 
+    def test_breakdown_same_without_retained_results(self):
+        # completions are counted per tenant as they are released, so a
+        # session that drops its result records reports the same
+        # breakdown; the late tenant arrives behind a full queue and is
+        # shed outright (starved), the hot tenant completes some
+        trace = flood_trace() + [request(60 + i, 0.0, 10.0, tenant="late")
+                                 for i in range(2)]
+        reports = []
+        for retain in (True, False):
+            _, _, engine = make_stack(max_queue=8)
+            core = engine.streaming()
+            core.retain_results = retain
+            core.play(sorted(trace, key=lambda r: (r.arrival_s, r.req_id)))
+            reports.append(core.report())
+        kept, dropped = reports
+        assert kept.results and not dropped.results
+        assert kept.num_shed > 0
+        assert "late" in kept.starved_tenants
+        assert dropped.tenant_breakdown() == kept.tenant_breakdown()
+        assert dropped.starved_tenants == kept.starved_tenants
+
+
 class TestAssignTenants:
     def test_round_robin_stamp(self):
         trace = [request(i, 0.0, 1.0) for i in range(5)]
@@ -403,30 +424,15 @@ class TestChaosMatrix:
 class TestAdmissionEstimate:
     WINDOW = 0.05
 
-    def _serve(self, estimate):
+    def test_remaining_window_admits_midwindow_arrival(self):
         # A opens the window at t=0; B arrives at 90% of it with an SLO
         # that fits the *residual* wait but not a full second window
         trace = [request(0, 0.0, 1.0),
                  request(1, 0.9 * self.WINDOW, 0.02)]
         _, _, engine = build_serving_stack(StackConfig(
-            devices=1, seed=0, window_s=self.WINDOW,
-            shed_policy="reject", admission_estimate=estimate))
-        return engine.serve(trace)
-
-    def test_remaining_window_admits_midwindow_arrival(self):
-        report = self._serve("remaining")
+            devices=1, seed=0, window_s=self.WINDOW, shed_policy="reject"))
+        report = engine.serve(trace)
         assert report.completed == 2 and not report.shed
-
-    def test_full_window_estimate_still_reachable(self):
-        report = self._serve("full")
-        assert report.completed == 1
-        assert [rec.request.req_id for rec in report.shed] == [1]
-
-    def test_bad_mode_rejected(self):
-        # the stack config is a plain carrier; the session ctor validates
-        _, _, engine = make_stack(admission_estimate="psychic")
-        with pytest.raises(ValueError, match="unknown admission estimate"):
-            engine.streaming()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.serve import (
     InferenceRequest,
     QueuedBatch,
     ScenarioConfig,
+    ServeConfig,
     ServeEngine,
     StackConfig,
     build_scenario,
@@ -32,6 +33,15 @@ def make_batch(seq, level="l6", est=1.0, n=2, ready=0.0, seed=0):
     reqs = [InferenceRequest(100 * seq + i, rng.integers(1, 60, size=6),
                              level_name=level) for i in range(n)]
     return QueuedBatch(seq, reqs, level, ready, est)
+
+
+def make_dispatcher(policy, **kwargs):
+    return Dispatcher(ServeConfig(policy=policy), **kwargs)
+
+
+def make_shard(drain_policy="fifo", fairness_window=4):
+    return DeviceShard(0, ServeConfig(drain_policy=drain_policy,
+                                      fairness_window=fairness_window))
 
 
 def build_engine(model, **kwargs):
@@ -83,18 +93,18 @@ class TestDeviceShardQueues:
 class TestDispatcher:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown dispatch policy"):
-            Dispatcher("fastest-first")
+            make_dispatcher("fastest-first")
 
     def test_round_robin_cycles(self):
         shards = [DeviceShard(i) for i in range(3)]
-        dispatcher = Dispatcher("round-robin")
+        dispatcher = make_dispatcher("round-robin")
         homes = [dispatcher.route(make_batch(seq), shards).shard_id
                  for seq in range(7)]
         assert homes == [0, 1, 2, 0, 1, 2, 0]
 
     def test_least_loaded_balances_estimated_backlog(self):
         shards = [DeviceShard(i) for i in range(2)]
-        dispatcher = Dispatcher("least-loaded")
+        dispatcher = make_dispatcher("least-loaded")
         # alternating heavy/light batches: round-robin would pile every
         # heavy batch onto shard 0; least-loaded interleaves them
         weights = [4.0, 1.0, 4.0, 1.0, 4.0, 1.0]
@@ -107,7 +117,7 @@ class TestDispatcher:
     def test_least_loaded_beats_round_robin_on_skewed_traffic(self):
         def assign(policy):
             shards = [DeviceShard(i) for i in range(2)]
-            dispatcher = Dispatcher(policy)
+            dispatcher = make_dispatcher(policy)
             for seq in range(8):
                 est = 4.0 if seq % 2 == 0 else 0.5
                 dispatcher.route(make_batch(seq, est=est), shards)
@@ -281,7 +291,8 @@ class TestTimeSlicing:
         engine, wl = build_engine(model, devices=1, time_sliced=True)
         trace = build_scenario("steady", wl, ScenarioConfig(num_requests=16, seed=3))
         report = engine.serve(trace)
-        full = [r for r in report.results if r.batch_size == engine.batcher.max_batch]
+        full = [r for r in report.results
+                if r.batch_size == engine.config.max_batch]
         assert full, "expected at least one full batch"
         by_batch = {}
         for r in full:
@@ -337,18 +348,18 @@ class TestBandwidthScenario:
 class TestLevelAffinityDrain:
     def interleaved_shard(self, drain_policy="level-affinity", window=4,
                           levels=("l6", "l4"), n=12):
-        shard = DeviceShard(0, drain_policy=drain_policy, fairness_window=window)
+        shard = make_shard(drain_policy, window)
         for seq in range(n):
             shard.enqueue(make_batch(seq, levels[seq % len(levels)]))
         return shard
 
     def test_unknown_drain_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown drain policy"):
-            DeviceShard(0, drain_policy="lifo")
+            make_shard(drain_policy="lifo")
 
     def test_invalid_fairness_window_rejected(self):
         with pytest.raises(ValueError, match="fairness_window"):
-            DeviceShard(0, fairness_window=0)
+            make_shard(fairness_window=0)
 
     def test_serves_levels_run_to_run(self):
         # alternating enqueue order, but the drain sticks with a level:
@@ -377,7 +388,7 @@ class TestLevelAffinityDrain:
     def test_fairness_window_bounds_runs(self):
         # window=2 on a 3-level interleave: no level may be served more
         # than `window` consecutive batches while another level waits
-        shard = DeviceShard(0, drain_policy="level-affinity", fairness_window=2)
+        shard = make_shard("level-affinity", 2)
         levels = ["l6", "l4", "l3"]
         for seq in range(18):
             shard.enqueue(make_batch(seq, levels[seq % 3]))
@@ -391,7 +402,7 @@ class TestLevelAffinityDrain:
     def test_no_starvation_under_saturation(self):
         # one dominant level must not starve the minority level: the
         # minority's batches appear before the dominant queue is exhausted
-        shard = DeviceShard(0, drain_policy="level-affinity", fairness_window=3)
+        shard = make_shard("level-affinity", 3)
         for seq in range(15):
             shard.enqueue(make_batch(seq, "l6"))
         shard.enqueue(make_batch(15, "l4"))
@@ -400,7 +411,7 @@ class TestLevelAffinityDrain:
         assert len(order) == 16
 
     def test_exhausted_level_rotates_out(self):
-        shard = DeviceShard(0, drain_policy="level-affinity", fairness_window=8)
+        shard = make_shard("level-affinity", 8)
         shard.enqueue(make_batch(0, "l6"))
         for seq in range(1, 5):
             shard.enqueue(make_batch(seq, "l4"))
@@ -414,7 +425,7 @@ class TestSwitchAwareDispatch:
         shards = [DeviceShard(0), DeviceShard(1)]
         shards[0].expected_sparsity = 0.3
         shards[1].expected_sparsity = 0.7
-        dispatcher = Dispatcher("switch-aware", switch_cost_s={0.3: 1.0, 0.7: 1.0})
+        dispatcher = make_dispatcher("switch-aware", switch_cost_s={0.3: 1.0, 0.7: 1.0})
         batch = make_batch(0)
         batch.sparsity = 0.7
         assert dispatcher.route(batch, shards).shard_id == 1
@@ -424,7 +435,7 @@ class TestSwitchAwareDispatch:
         shards[0].expected_sparsity = 0.7
         shards[0].assigned_est_s = 5.0  # matching shard, but deeply loaded
         shards[1].expected_sparsity = 0.3
-        dispatcher = Dispatcher("switch-aware", switch_cost_s={0.7: 1.0})
+        dispatcher = make_dispatcher("switch-aware", switch_cost_s={0.7: 1.0})
         batch = make_batch(0, est=0.1)
         batch.sparsity = 0.7
         # 5.0 backlog vs 0.0 + 1.0 switch: the swap is the cheaper path
@@ -441,7 +452,7 @@ class TestSwitchAwareDispatch:
         # infeasible batches (sparsity None) rout purely by load
         shards = [DeviceShard(0), DeviceShard(1)]
         shards[1].assigned_est_s = 1.0
-        dispatcher = Dispatcher("switch-aware", switch_cost_s={0.3: 9.0})
+        dispatcher = make_dispatcher("switch-aware", switch_cost_s={0.3: 9.0})
         assert dispatcher.route(make_batch(0), shards).shard_id == 0
 
 

@@ -289,7 +289,8 @@ class TestStreamingLoop:
             StreamingEngine(model, adapter, policy="fastest-first")
         with pytest.raises(ValueError, match="drain policy"):
             StreamingEngine(model, adapter, drain_policy="lifo")
-        with pytest.raises(ValueError, match="max_wait_s"):
+        # max_wait_s is the session-side spelling of window_s
+        with pytest.raises(ValueError, match="window_s"):
             StreamingEngine(model, adapter, max_wait_s=float("inf"))
 
 
@@ -463,8 +464,7 @@ class TestAdaptiveDrain:
         engine, _ = build_engine(TransformerLM(LM_CFG).eval(), devices=2,
                                  policy="round-robin", max_batch=4,
                                  window_s=1e-5, drain_policy=drain_policy,
-                                 fairness_window=4, adaptive_window=8,
-                                 adaptive_threshold=0.5)
+                                 fairness_window=4)
         return engine.serve(list(trace))
 
     @pytest.fixture(scope="class")
@@ -508,14 +508,6 @@ class TestAdaptiveDrain:
         assert_reports_equivalent(engine_a.serve(trace),
                                   engine_b.serve(list(trace)))
 
-    def test_adaptive_validation(self):
-        model = TransformerLM(LM_CFG).eval()
-        with pytest.raises(ValueError, match="adaptive_window"):
-            build_engine(model, drain_policy="adaptive", adaptive_window=0)
-        with pytest.raises(ValueError, match="adaptive_threshold"):
-            build_engine(model, drain_policy="adaptive",
-                         adaptive_threshold=1.5)
-
 
 # ---------------------------------------------------------------------------
 # adaptive hysteresis: the flip is reversible when the traffic phase changes
@@ -557,8 +549,7 @@ class TestAdaptiveHysteresis:
         engine, _ = build_engine(TransformerLM(LM_CFG).eval(), devices=1,
                                  max_batch=4, window_s=1e-5,
                                  drain_policy=drain_policy,
-                                 fairness_window=4, adaptive_window=8,
-                                 adaptive_threshold=0.5,
+                                 fairness_window=4,
                                  adaptive_low_threshold=low)
         return engine.serve(list(trace))
 
@@ -602,7 +593,7 @@ class TestAdaptiveHysteresis:
         model = TransformerLM(LM_CFG).eval()
         with pytest.raises(ValueError, match="adaptive_low_threshold"):
             build_engine(model, drain_policy="adaptive",
-                         adaptive_threshold=0.5, adaptive_low_threshold=0.5)
+                         adaptive_low_threshold=0.5)
         with pytest.raises(ValueError, match="adaptive_low_threshold"):
             build_engine(model, drain_policy="adaptive",
                          adaptive_low_threshold=-0.1)
@@ -627,7 +618,7 @@ class TestCompileFallbackWarnings:
         with pytest.warns(RuntimeWarning, match="compile_inference failed"):
             report = engine.serve([req(0)])
         assert report.num_requests == 1
-        assert engine.fast_forward  # the offline wrapper keeps its knob
+        assert engine.config.decode.fast_forward  # the setting is untouched
 
     def test_decode_compile_failure_warns(self, monkeypatch):
         import repro.serve.streaming as streaming_mod
