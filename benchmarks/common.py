@@ -10,10 +10,9 @@ committed baseline on every CI run.
 
 Absolute numbers are not expected to match the authors' testbed; the
 *shape* (who wins, by roughly what factor) is asserted in the tests and
-pinned by the regression gate's comparators.  This module also hosts the
-shared comparator helpers (row-set equality, drift budgets, the
-missing-metric conventions) so the per-bench comparators in the gate
-script stay declarative.
+pinned by the regression gate's rules.  This module also hosts the
+finding helpers (row-set equality, drift budgets, the missing-metric
+conventions) the gate's rule constructors are built on.
 """
 
 from __future__ import annotations
@@ -123,9 +122,9 @@ def fmt_runs(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# comparator helpers shared by scripts/check_bench_regression.py
+# finding helpers for scripts/check_bench_regression.py
 #
-# Every comparator returns a list of *findings*; one finding per checked
+# Every gate rule returns a list of *findings*; one finding per checked
 # metric with the shape {metric, baseline, fresh, gated, ok, note}.  The
 # helpers below encode the gate-wide conventions:
 #   - a metric absent from the *baseline* passes with a note (older
@@ -148,6 +147,13 @@ def find_info(metric: str, baseline, fresh, note: str = WALL_CLOCK_NOTE) -> dict
     """An informational finding: shown in the report, never gated."""
     return {"metric": metric, "baseline": baseline, "fresh": fresh,
             "gated": False, "ok": True, "note": note}
+
+
+def find_check(metric: str, baseline, fresh, ok, note: str) -> dict:
+    """A gated finding whose verdict the caller computed (``baseline``
+    shows the limit or reference the fresh value is held to)."""
+    return {"metric": metric, "baseline": baseline, "fresh": fresh,
+            "gated": True, "ok": bool(ok), "note": note}
 
 
 def find_row_set(metric: str, base_rows, fresh_rows, note: str) -> dict:
@@ -225,9 +231,8 @@ def cover_pareto_points(base_front, fresh_front, *, acc_budget: float,
             q_aw >= aw - acc_budget
             and q_runs >= runs * (1.0 - runs_rel_budget)
             for q_aw, q_runs in fresh_front)
-        findings.append({
-            "metric": f"{prefix}[{i}]", "baseline": float(aw),
-            "fresh": None, "gated": True, "ok": covered,
-            "note": f"committed front point (Aw={aw:.4f}, runs={runs:.3e}) "
-                    "must stay covered by the replayed front"})
+        findings.append(find_check(
+            f"{prefix}[{i}]", float(aw), None, covered,
+            f"committed front point (Aw={aw:.4f}, runs={runs:.3e}) "
+            "must stay covered by the replayed front"))
     return findings

@@ -18,10 +18,9 @@ Layout
   session, and the session hands it to its shards and dispatcher, so
   no layer re-spells or re-checks a setting;
 - :mod:`~repro.serve.batcher`   — requests, padding-exact vectorized
-  forwards, and the two halves of micro-batching: the incremental
-  :class:`AdmissionQueue` (admit one request at a time; flush on
-  ``max_batch`` or at the group's window deadline) and the offline
-  :class:`MicroBatcher` wrapper that replays a known trace through it.
+  forwards, and the incremental :class:`AdmissionQueue` that forms
+  micro-batches (admit one request at a time; flush on ``max_batch`` or
+  at the group's window deadline).
   ``run_padded`` executes each batch through the **zero-autograd
   forward plane** by default: the engines hand it a
   :class:`~repro.nn.inference.CompiledForward` plan (pure ndarray ops,
@@ -118,11 +117,8 @@ per-request oracle (``BENCH_stream.json``);
 compiled forward plane against the eager Tensor path — wall clock,
 autograd node counts, scratch allocations, bit-exactness
 (``BENCH_forward.json``).  CI regresses every PR against the committed
-digests via ``scripts/check_bench_regression.py`` (serve: simulated
-throughput/p95 drift + exactness; stream: exactness, batching
-monotonicity, endpoint drift; kernels: op counts, exactness, speedup
-floor; table/table2: deterministic row/run-total equality; forward:
-bit-exactness, node/alloc counts, speedup floor).
+digests via ``scripts/check_bench_regression.py`` (rules per bench in
+``docs/benchmarks.md``).
 ``benchmarks/bench_faults.py`` injects a deterministic shard outage on
 bursty traffic and asserts the fault-tolerance invariants —
 conservation (completed + shed == submitted), bit-exact completed
@@ -134,7 +130,6 @@ from repro.serve.batcher import (
     AdmissionQueue,
     FlushedGroup,
     InferenceRequest,
-    MicroBatcher,
     RequestResult,
     pad_batch,
     run_padded,
@@ -191,7 +186,6 @@ __all__ = [
     "artifact_nbytes",
     "InferenceRequest",
     "LRUCache",
-    "MicroBatcher",
     "POLICIES",
     "PREEMPT_POLICIES",
     "QueuedBatch",

@@ -8,7 +8,7 @@ with a key-padding mask, so every valid output position agrees with the
 per-request forward to machine precision (asserted in the tests and the
 serving bench).
 
-Four pieces:
+Three pieces:
 
 - :class:`InferenceRequest` / :class:`RequestResult` — the unit of work
   and its outcome record;
@@ -19,11 +19,7 @@ Four pieces:
   instant it reaches ``max_batch``, and every open group carries a
   window deadline (``opened_s + max_wait_s``) the event loop closes it
   at.  This is the admission-time half of the streaming serving core
-  (:mod:`repro.serve.streaming`);
-- :class:`MicroBatcher` — the trace-grouping wrapper: replays a fully
-  known arrival stream through an :class:`AdmissionQueue` (arrivals and
-  window closes merged in time order), so offline batching is *by
-  construction* the same grouping the online loop would produce.
+  (:mod:`repro.serve.streaming`).
 """
 
 from __future__ import annotations
@@ -200,7 +196,7 @@ def run_padded(model, requests: Sequence[InferenceRequest], pad_id: int = 0,
 # ---------------------------------------------------------------------------
 
 def check_batching(max_batch: int, window_s: float) -> None:
-    """The micro-batching rules, shared by the queues and ServeConfig."""
+    """The micro-batching rules, shared by the queue and ServeConfig."""
     if max_batch < 1:
         raise ValueError(f"max_batch must be at least 1, got {max_batch}")
     if not math.isfinite(window_s) or window_s < 0:
@@ -393,47 +389,3 @@ class AdmissionQueue:
         """End of stream: close all open groups, oldest first."""
         return [self._close(key, full=False) for key in list(self._open)]
 
-
-class MicroBatcher:
-    """Group a fully known arrival-ordered request stream into batches.
-
-    The trace-grouping wrapper over :class:`AdmissionQueue`: requests
-    (sorted by arrival, ties by ``req_id``) are replayed through the
-    incremental queue with window closes merged in at their deadlines,
-    so the offline grouping is — by construction, not by parallel
-    implementation — exactly what the streaming admission loop produces
-    for the same trace.  A group is flushed when it reaches
-    ``max_batch``, when its batching window ``window_s`` closes, or at
-    end of stream; a lone request waits at most one batching window.
-    """
-
-    def __init__(self, max_batch: int = 8, window_s: float = 0.05,
-                 key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None) -> None:
-        check_batching(max_batch, window_s)
-        self.max_batch = max_batch
-        self.window_s = window_s
-        self.key_fn = key_fn or _default_key
-
-    def queue_factory(self) -> AdmissionQueue:
-        """A fresh admission queue with this batcher's grouping rules."""
-        return AdmissionQueue(self.max_batch, self.window_s, self.key_fn)
-
-    def batches(self, requests: Sequence[InferenceRequest]
-                ) -> List[List[InferenceRequest]]:
-        """Deterministically batch ``requests`` (sorted by arrival)."""
-        return [g.requests for g in self.flushed_groups(requests)]
-
-    def flushed_groups(self, requests: Sequence[InferenceRequest]
-                       ) -> List[FlushedGroup]:
-        """Replay the trace through an admission queue; groups in flush order."""
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        queue = self.queue_factory()
-        flushed: List[FlushedGroup] = []
-        for req in ordered:
-            # windows that closed strictly before this arrival flush first
-            flushed.extend(queue.close_due(req.arrival_s, strict=True))
-            full, _ = queue.add(req, req.arrival_s)
-            if full is not None:
-                flushed.append(full)
-        flushed.extend(queue.flush_remaining())
-        return flushed

@@ -13,13 +13,14 @@ from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
     ArtifactCache,
     InferenceRequest,
-    MicroBatcher,
     ScenarioConfig,
     ServeEngine,
     build_scenario,
     pad_batch,
     run_padded,
 )
+
+from trace_replay import MicroBatcher
 
 LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
                            num_encoder_layers=2, num_decoder_layers=1,

@@ -13,13 +13,14 @@ from repro.serve import (
     AdmissionQueue,
     ArtifactCache,
     InferenceRequest,
-    MicroBatcher,
     ScenarioConfig,
     ServeEngine,
     StreamingEngine,
     build_scenario,
     stream_scenario,
 )
+
+from trace_replay import MicroBatcher
 
 LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
                            num_encoder_layers=2, num_decoder_layers=1,
