@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -251,6 +252,21 @@ def block_sparse_nbytes(mask: np.ndarray, num_blocks: int, direction: str = "col
 # distinguishes the cache entries of coexisting MaskManagers
 _manager_counter = itertools.count()
 
+# pattern sets whose combined masks a MaskManager keeps resident (LRU):
+# room for a serving ladder's rungs, bounded for long searches that walk
+# through many sets
+_RESIDENT_SETS = 8
+
+
+class _Resident(NamedTuple):
+    """One layer's combined mask for one pattern set, as installed."""
+
+    artifact: object          # the cached (PackedMask, ids) source
+    backbone: np.ndarray      # the BP mask it was combined with
+    weight_version: int
+    mask: np.ndarray          # bp * unpacked artifact, read-only
+    token: int                # the layer's mask token for ``mask``
+
 
 class MaskManager:
     """Composes the fixed BP backbone mask with swappable pattern masks.
@@ -283,6 +299,10 @@ class MaskManager:
         # serve one manager's masks to another.
         self.cache = cache
         self._cache_owner = f"mm{next(_manager_counter)}"
+        # set digest -> {layer: _Resident}: each cached set's combined
+        # masks, kept once derived so installing the set again is a
+        # pointer swap
+        self._resident: "OrderedDict[str, Dict[str, _Resident]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def attach_cache(self, cache) -> None:
@@ -296,6 +316,7 @@ class MaskManager:
         conversions and other managers' masks in a shared cache stay
         valid.  Returns the number of entries removed.
         """
+        self._resident.clear()
         if self.cache is None:
             return 0
         return self.cache.invalidate(owner=self._cache_owner)
@@ -308,27 +329,67 @@ class MaskManager:
         so the artifact cache's byte budget models the kilobytes a pattern
         switch actually moves.  Unpacking is exact — the installed masks
         are identical with and without the cache.
+
+        With a cache, every call still looks each layer's artifact up
+        (hit counts and LRU recency are those of a full install), but a
+        set installed before is a pointer swap: while a layer's artifact
+        and backbone mask are the ones its resident combined mask came
+        from and its weight is unchanged, that mask goes back in under
+        the token it first earned (:meth:`Linear.install_mask`) — no
+        unpack, no multiply, no content compare, and compiled plans keyed
+        on the token find their snapshot again.  Anything else (a fresh
+        or re-derived artifact, a weight update) takes the full path:
+        unpack and multiply, then either keep the resident mask and its
+        token (same content) or ``set_mask`` the new mask.  Without a
+        cache, and for ``None``, every call takes the full path.
         """
         self.active_set = pattern_set
         self._pattern_ids.clear()
-        set_digest = pattern_set.digest() if pattern_set is not None else ""
+        if pattern_set is None:
+            for name, layer in self.layers.items():
+                layer.set_mask(self.backbone_masks[name].copy())
+            return
+        if self.cache is None:
+            for name, layer in self.layers.items():
+                bp = self.backbone_masks[name]
+                pp_mask, ids = pattern_mask_for_matrix(layer.weight.data * bp, pattern_set)
+                layer.set_mask(bp * pp_mask)
+                self._pattern_ids[name] = ids
+            return
+        set_digest = pattern_set.digest()
+        resident = self._resident.pop(set_digest, None) or {}
+        self._resident[set_digest] = resident
+        if len(self._resident) > _RESIDENT_SETS:
+            self._resident.popitem(last=False)
         for name, layer in self.layers.items():
             bp = self.backbone_masks[name]
-            if pattern_set is None:
-                layer.set_mask(bp.copy())
-                continue
-            if self.cache is not None:
-                def compute():
-                    mask, ids = pattern_mask_for_matrix(
-                        layer.weight.data * bp, pattern_set)
-                    return PackedMask(mask), ids
-                packed, ids = self.cache.get_mask(
-                    name, set_digest, compute, owner=self._cache_owner)
-                pp_mask = packed.unpack()
-            else:
-                pp_mask, ids = pattern_mask_for_matrix(layer.weight.data * bp, pattern_set)
-            layer.set_mask(bp * pp_mask)
+
+            def compute():
+                mask, ids = pattern_mask_for_matrix(layer.weight.data * bp, pattern_set)
+                return PackedMask(mask), ids
+            artifact = self.cache.get_mask(
+                name, set_digest, compute, owner=self._cache_owner)
+            packed, ids = artifact
             self._pattern_ids[name] = ids
+            version = layer.weight.version
+            held = resident.get(name)
+            if held is not None and held.backbone is not bp:
+                held = None
+            if (held is not None and held.artifact is artifact
+                    and held.weight_version == version):
+                layer.install_mask(held.mask, held.token)
+                continue
+            mask = bp * packed.unpack()
+            mask.setflags(write=False)
+            if held is not None and np.array_equal(mask, held.mask):
+                # re-derived (evicted artifact, weight update) to the same
+                # content: the resident mask and its token still stand
+                layer.install_mask(held.mask, held.token)
+            else:
+                layer.set_mask(mask)
+                layer.install_mask(mask, layer._mask_token)
+            resident[name] = _Resident(artifact, bp, version, layer.mask,
+                                       layer._mask_token)
 
     def clear_patterns(self) -> None:
         self.apply(None)

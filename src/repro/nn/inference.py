@@ -11,9 +11,11 @@ module tree **once** and emits a flat program of ndarray steps that
 - snapshots each layer's *effective* weight (``weight * mask``) so the
   per-forward mask multiply disappears; snapshots are keyed on the O(1)
   :attr:`~repro.nn.layers.Linear.cache_token` / ``Parameter.version``
-  counters, so recompilation happens only when a parameter or installed
-  mask actually changes (an identical re-install keeps the token stable
-  and therefore the plan);
+  counters, and one snapshot program is kept per signature, so
+  compilation happens only the first time a weight/mask configuration
+  is seen (an identical re-install keeps the plan, and a switch back to
+  an earlier pattern set — whose masks return under their old tokens —
+  reinstates that set's program);
 - fuses LayerNorm and softmax into single functions with no intermediate
   graph nodes, replicating the Tensor engine's exact arithmetic
   expression by expression — the ``float64`` plan is **bit-identical**
@@ -47,6 +49,7 @@ families of the paper.  Anything else raises :class:`UnsupportedModel`
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,6 +74,40 @@ DTYPES = ("float64", "float32")
 # combined-mask memo bound: entries are keyed on padding-mask content, so
 # adversarial traffic could otherwise grow the cache without limit
 _MASK_CACHE_CAP = 64
+
+# snapshot programs kept per plan (LRU over mask configurations of the
+# current weights): one per serving-ladder rung, with room to spare
+_PROGRAM_CAP = 8
+
+
+class _Programs:
+    """Compiled snapshot programs keyed by weight signature.
+
+    Every stored signature shares one weight part (the parameter version
+    counters, ``sig[0]``): versions only grow, so a program built for
+    older weights can never match again and is dropped as soon as a
+    program for newer weights is stored.  What remains are the mask configurations of the
+    current weights, least recently used evicted past ``_PROGRAM_CAP``.
+    """
+
+    def __init__(self) -> None:
+        self._by_sig: "OrderedDict[tuple, object]" = OrderedDict()
+
+    def get(self, sig: tuple):
+        program = self._by_sig.get(sig)
+        if program is not None:
+            self._by_sig.move_to_end(sig)
+        return program
+
+    def put(self, sig: tuple, program) -> None:
+        if self._by_sig and next(reversed(self._by_sig))[0] != sig[0]:
+            self._by_sig.clear()
+        self._by_sig[sig] = program
+        if len(self._by_sig) > _PROGRAM_CAP:
+            self._by_sig.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._by_sig)
 
 
 class UnsupportedModel(TypeError):
@@ -127,8 +164,10 @@ class CompiledForward:
     mask the serving batcher builds).  Before every call the plan
     compares its O(1) weight signature (every ``Linear.cache_token``
     plus the version counter of each non-Linear parameter) against the
-    live model and recompiles the snapshots only on a real change;
-    ``compiles`` counts how often that happened (1 = never recompiled).
+    live model.  On a change it reinstates the program it compiled for
+    that signature earlier, if it still holds one (a switch back to a
+    pattern set seen before), and compiles otherwise; ``compiles``
+    counts real compilations (1 = never recompiled).
 
     ``sparse`` (a :class:`~repro.sparse.executor.SparseExecutor`)
     dispatches masked prunable layers through that executor's sparse
@@ -151,19 +190,16 @@ class CompiledForward:
         self.compiles = 0
         self.program: List[str] = []
         self._mask_cache: Dict = {}
-        # signature sources, collected once: Linears carry cache_token
-        # (weight version + mask install counter); everything else
-        # (embeddings, layernorm gains) carries Parameter.version
+        # signature sources, collected once: every parameter carries
+        # Parameter.version, every Linear its mask token
+        self._params = [p for _, p in model.named_parameters()]
         self._linears = [m for m in model.modules() if isinstance(m, Linear)]
-        owned = {id(p) for lin in self._linears
-                 for p in (lin.weight, lin.bias) if p is not None}
-        self._loose_params = [p for _, p in model.named_parameters()
-                              if id(p) not in owned]
         self._names = {id(m): name for name, m in model.named_modules()}
         self._sparse_names = (set(prunable_linears(model))
                               if sparse is not None else set())
         self._signature: Optional[tuple] = None
-        self._compile()
+        self._programs = _Programs()
+        self._compile(self.signature())
 
     # ------------------------------------------------------------------
     @property
@@ -174,17 +210,16 @@ class CompiledForward:
     def signature(self) -> tuple:
         """O(1)-per-layer identity of everything the snapshots depend on.
 
-        The raw integer counters behind ``Linear.cache_token`` (uid,
-        weight version, mask install counter) plus the bias version —
-        the bias is snapshot too, so a sanctioned bias-only update must
-        recompile — plus each loose parameter's version.  Same identity
-        as the string tokens without per-call string formatting.
+        ``(versions, masks)``: the version counter of every parameter
+        (Linear weights and biases — a sanctioned bias-only update must
+        recompile too — embeddings, layernorm gains) and every Linear's
+        mask token, the integers behind ``Linear.cache_token`` without
+        per-call string formatting.  The layer set is fixed at
+        construction, so no layer ids are needed; ``versions`` only
+        ever grows.
         """
-        return (tuple((lin._uid, lin.weight.version,
-                       -1 if lin.bias is None else lin.bias.version,
-                       lin._mask_version)
-                      for lin in self._linears),
-                tuple(p.version for p in self._loose_params))
+        return (tuple([p.version for p in self._params]),
+                tuple([lin._mask_token for lin in self._linears]))
 
     @staticmethod
     def _check_eval(model: Module) -> None:
@@ -546,11 +581,22 @@ class CompiledForward:
         return forward
 
     # ------------------------------------------------------------------
-    def _compile(self) -> None:
+    def _refresh(self, sig: tuple) -> None:
+        """Bring the snapshots in line with signature ``sig`` (a change):
+        reinstate the program held for it, or compile one."""
+        program = self._programs.get(sig)
+        if program is None:
+            self._compile(sig)
+            return
+        self._check_eval(self.model)
+        self._forward = program
+        self._signature = sig
+
+    def _compile(self, sig: tuple) -> None:
         model = self.model
-        # re-checked on every recompile, not just construction: a model
-        # flipped back to train mode must fail loudly rather than let
-        # the plan silently keep eval (dropout-free) semantics
+        # re-checked on every signature change, not just construction: a
+        # model flipped back to train mode must fail loudly rather than
+        # let the plan silently keep eval (dropout-free) semantics
         self._check_eval(model)
         if isinstance(model, TransformerLM):
             self._forward = self._compile_transformer_lm(model)
@@ -562,14 +608,16 @@ class CompiledForward:
             raise UnsupportedModel(
                 f"compile_inference supports TransformerLM and DistilBert* "
                 f"models, not {type(model).__name__}")
-        self._signature = self.signature()
+        self._signature = sig
+        self._programs.put(sig, self._forward)
         self.compiles += 1
 
     def __call__(self, tokens, attn_mask: Optional[np.ndarray] = None
                  ) -> np.ndarray:
-        if self.signature() != self._signature:
+        sig = self.signature()
+        if sig != self._signature:
             # a parameter or mask changed since the snapshots were taken
-            self._compile()
+            self._refresh(sig)
         tokens = np.asarray(tokens.data if hasattr(tokens, "data") else tokens)
         if tokens.ndim != 2:
             raise ValueError("compiled forward expects (batch, length) tokens")
@@ -628,9 +676,10 @@ class CompiledDecode:
 
     Effective weights are shared with (snapshot by the same helpers as)
     the full-sequence plan and keyed on the same ``cache_token``/version
-    counters: a weight change or mask re-install recompiles both planes,
-    bumps ``epoch`` and thereby invalidates every outstanding
-    :class:`DecodeState`.  Falls back to the full plan (still zero
+    counters: a weight change or a real mask switch refreshes both
+    planes (reinstating the programs held for a signature seen before,
+    compiling otherwise), bumps ``epoch`` and thereby invalidates every
+    outstanding :class:`DecodeState`.  Falls back to the full plan (still zero
     autograd) whenever the incremental path cannot be exact: multi-layer
     decoders, sparse executors, contexts shorter than two tokens, a
     caller-signalled sliding window (``full=True`` — positions shift, so
@@ -664,12 +713,13 @@ class CompiledDecode:
         self.kv_capable = (len(model.decoder) == 1
                            and self.plan.sparse is None)
         self._dec: Optional[dict] = None
+        self._decode_programs = _Programs()
         # longest context the incremental path may serve bitwise; probed
         # once per model shape (0 until the first decode compile)
         self.kv_len_cap = 0
-        if self.kv_capable:
-            self._compile_decode()
         self._decode_signature = self.plan.signature()
+        if self.kv_capable:
+            self._compile_decode(self._decode_signature)
 
     # ------------------------------------------------------------------
     def new_state(self) -> DecodeState:
@@ -682,13 +732,18 @@ class CompiledDecode:
             # a parameter or installed mask changed: refresh both planes
             # and retire every outstanding DecodeState via the epoch
             if sig != self.plan._signature:
-                self.plan._compile()
+                self.plan._refresh(sig)
             if self.kv_capable:
-                self._compile_decode()
+                dec = self._decode_programs.get(sig)
+                if dec is None:
+                    self._compile_decode(sig)
+                else:
+                    self.plan._check_eval(self.model)
+                    self._dec = dec
             self._decode_signature = sig
             self.epoch += 1
 
-    def _compile_decode(self) -> None:
+    def _compile_decode(self, sig: tuple) -> None:
         plan, model = self.plan, self.model
         plan._check_eval(model)
         dec = model.decoder[0]
@@ -716,6 +771,7 @@ class CompiledDecode:
             "head_dim": sa.head_dim,
             "scale": 1.0 / math.sqrt(sa.head_dim),
         }
+        self._decode_programs.put(sig, self._dec)
         self.decode_compiles += 1
         if not self.kv_len_cap:
             # kernel regimes depend only on shapes/layout, never on the

@@ -29,6 +29,11 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
 # coexisting models even when layer names and shapes coincide
 _linear_uid = itertools.count()
 
+# process-wide mask tokens: every install of new mask content draws a
+# fresh one, so a token handed back by ``install_mask`` (a resident rung
+# reinstated) can never name different content on the same layer
+_mask_tokens = itertools.count(1)
+
 
 class Linear(Module):
     """Affine map ``y = x W^T + b`` with optional pruning mask on ``W``.
@@ -37,6 +42,8 @@ class Linear(Module):
     ``set_mask`` installs a 0/1 ndarray of the same shape; pass ``None`` to
     clear it.  The mask is applied multiplicatively on forward, so joint
     training through different masks (Fig. 2 of the paper) just swaps masks.
+    An installed mask is never written in place: change it with
+    ``set_mask``, which is what keeps :attr:`cache_token` honest.
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
@@ -54,7 +61,7 @@ class Linear(Module):
             self.bias = None
         self.mask: Optional[np.ndarray] = None
         self._uid = next(_linear_uid)
-        self._mask_version = 0
+        self._mask_token = 0
 
     def set_mask(self, mask: Optional[np.ndarray]) -> None:
         if mask is not None:
@@ -70,23 +77,38 @@ class Linear(Module):
         elif self.mask is None:
             return
         self.mask = mask
-        self._mask_version += 1
+        self._mask_token = next(_mask_tokens)
+
+    def install_mask(self, mask: np.ndarray, token: int) -> None:
+        """Reinstate ``mask`` under the token it was installed with before.
+
+        The O(1) half of a pattern switch: no shape check, no content
+        compare.  ``mask`` must be the (unmodified) array that earned
+        ``token`` from :meth:`set_mask` on this layer —
+        :class:`~repro.core.patterns.MaskManager` keeps such pairs resident
+        per pattern set — so every cache keyed on :attr:`cache_token`
+        (compiled plans, format conversions) finds its entry again.
+        """
+        if self.mask is not mask or self._mask_token != token:
+            self.mask = mask
+            self._mask_token = token
 
     @property
     def cache_token(self) -> str:
         """O(1) identity of the effective (masked) weight content.
 
         Combines the process-unique layer id, the weight's update counter
-        (bumped by optimizers / ``load_state_dict``) and the mask install
-        counter — everything ``weight * mask`` depends on — so caches can
-        key on this token instead of hashing the weight bytes, which
-        dominated small-layer lookups (ROADMAP open item).  Two tokens are
-        equal iff they describe the same layer with no *effective* weight
-        or mask change: ``set_mask`` content-compares against the resident
-        mask and keeps the token stable when an identical mask is
-        re-installed, so mask churn that changes nothing stays a cache hit.
+        (bumped by optimizers / ``load_state_dict``) and the mask token —
+        everything ``weight * mask`` depends on — so caches can key on
+        this token instead of hashing the weight bytes.  The mask token
+        names mask *content* on this layer: ``set_mask`` keeps it when an
+        identical mask is re-installed and draws a process-unique fresh
+        one for new content, and ``install_mask`` hands an earlier token
+        back with the very mask it named.  So a layer switched back to a
+        mask through ``install_mask`` shows the token it had before, and
+        caches keyed on it hit instead of rebuilding.
         """
-        return f"u{self._uid}.w{self.weight.version}.m{self._mask_version}"
+        return f"u{self._uid}.w{self.weight.version}.m{self._mask_token}"
 
     def effective_weight(self) -> Tensor:
         if self.mask is None:

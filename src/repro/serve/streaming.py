@@ -424,8 +424,9 @@ class StreamingEngine:
             adapter.manager.attach_cache(cache)
         # serve-path forwards default to the compiled zero-autograd plan
         # (bit-identical to the eager path); the plan is built lazily on
-        # the first executed batch and recompiles itself only when a
-        # weight or installed mask actually changes (O(1) token check).
+        # the first executed batch and compiles again only for a weight
+        # or mask configuration it has not seen (O(1) token check; a
+        # switch back to a rung reinstates that rung's program).
         # Cleared when the model cannot compile.
         self.fast_forward = config.decode.fast_forward
         self._plan = None
@@ -1112,7 +1113,9 @@ class StreamingEngine:
         """
         count = sum(1 for r in self.admission.waiting()
                     if r.tenant == tenant)
-        batches = [qb for s in self.shards for qb in s.queued_batches()]
+        # counted, not ordered: skip queued_batches()'s flush-order sort
+        batches = [qb for s in self.shards for q in s.queues.values()
+                   for qb in q]
         batches.extend(self._parked)
         for qb in batches:
             done = set(qb.done_ids)
@@ -1415,8 +1418,11 @@ class StreamingEngine:
         level = self._level(qb.level_name)
         event, effective, switch_s, installed = \
             self._resolve_operating_point(shard, level, qb)
-        # the device re-installs its masks before every batch (a stateless
-        # execution context; the artifact cache turns repeats into lookups)
+        # the device installs its rung's masks before every batch (a
+        # stateless execution context).  Repeats stay artifact-cache
+        # lookups but install nothing: an unchanged set is left in place
+        # and a set installed before swaps its resident masks back in,
+        # so the compiled plan reinstates that rung's program
         if self.adapter.manager is not None:
             self.adapter.manager.apply(self.ladder[effective])
         # keep the shared adapter's view in sync with the masks resident on
@@ -1520,10 +1526,11 @@ class StreamingEngine:
             event, effective, switch_s, installed = \
                 self._resolve_operating_point(shard, level, qb)
             if self.adapter.manager is not None:
-                # an identical re-install keeps every cache_token stable,
-                # so the decode plane's KV state survives; a real switch
-                # bumps the tokens and invalidates it — the correctness
-                # the recompile-on-mask-install tests pin
+                # an identical re-install keeps every cache_token, so
+                # the decode plane's KV state survives; a real switch
+                # changes the tokens, which retires it (a switch back
+                # reinstates the rung's programs, not its KV rows) —
+                # the correctness the mask-install tests pin
                 self.adapter.manager.apply(self.ladder[effective])
             self.adapter.active_sparsity = effective
             emitted = session.step()

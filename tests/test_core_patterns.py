@@ -1,11 +1,14 @@
 """Patterns, pattern sets, mask application and storage accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.block_pruning import BlockPruningConfig, apply_block_pruning
 from repro.core.patterns import (
     MaskManager,
+    PackedMask,
     Pattern,
     PatternSet,
     block_sparse_nbytes,
@@ -13,6 +16,10 @@ from repro.core.patterns import (
     pattern_mask_for_matrix,
     random_pattern_set,
 )
+from repro.nn.optim import SGD
+from repro.nn.transformer import TransformerLM
+from repro.serve.cache import ArtifactCache
+from repro.tensor.tensor import Tensor
 
 
 def checkerboard(n):
@@ -207,3 +214,168 @@ class TestMaskManager:
 
         with pytest.raises(ValueError):
             MaskManager(Tiny())
+
+
+# ---------------------------------------------------------------------------
+# re-installs: the resident pointer swap and every case that falls through
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def count_unpacks(monkeypatch):
+    calls = []
+    original = PackedMask.unpack
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(PackedMask, "unpack", counting)
+    return calls
+
+
+class TestMaskManagerReinstall:
+    @pytest.fixture()
+    def setup(self, tiny_transformer):
+        report = apply_block_pruning(tiny_transformer,
+                                     BlockPruningConfig(num_blocks=2, rate=0.3))
+        mgr = MaskManager(tiny_transformer, report.masks, cache=ArtifactCache())
+        psets = [random_pattern_set(8, s, 3, np.random.default_rng(i))
+                 for i, s in enumerate((0.5, 0.7))]
+        return tiny_transformer, report.masks, mgr, psets
+
+    @staticmethod
+    def assert_matches_fresh(model, backbone, mgr, pset, cache=True):
+        """Installed masks and pattern ids == a fresh manager's install."""
+        masks = mgr.snapshot_masks()
+        ids = {name: a.copy() for name, a in mgr._pattern_ids.items()}
+        fresh = MaskManager(model, backbone,
+                            cache=ArtifactCache() if cache else None)
+        fresh.apply(pset)
+        assert masks.keys() == fresh.snapshot_masks().keys()
+        for name, layer in fresh.layers.items():
+            assert np.array_equal(masks[name], layer.mask), name
+        assert ids.keys() == fresh._pattern_ids.keys()
+        for name, want in fresh._pattern_ids.items():
+            assert np.array_equal(ids[name], want), name
+
+    def test_identical_reinstall_unpacks_nothing(self, setup, count_unpacks):
+        _, _, mgr, psets = setup
+        mgr.apply(psets[0])
+        tokens = {n: l.cache_token for n, l in mgr.layers.items()}
+        unpacks = len(count_unpacks)
+        hits = mgr.cache.stats.hits
+        mgr.apply(psets[0])
+        assert len(count_unpacks) == unpacks
+        assert {n: l.cache_token for n, l in mgr.layers.items()} == tokens
+        # every layer's artifact was still looked up
+        assert mgr.cache.stats.hits == hits + len(mgr.layers)
+
+    def test_switch_back_reinstates_tokens(self, setup, count_unpacks):
+        model, backbone, mgr, psets = setup
+        mgr.apply(psets[0])
+        tokens = {n: l.cache_token for n, l in mgr.layers.items()}
+        mgr.apply(psets[1])
+        assert {n: l.cache_token for n, l in mgr.layers.items()} != tokens
+        unpacks = len(count_unpacks)
+        mgr.apply(psets[0])
+        assert len(count_unpacks) == unpacks
+        assert {n: l.cache_token for n, l in mgr.layers.items()} == tokens
+        self.assert_matches_fresh(model, backbone, mgr, psets[0])
+
+    def test_resident_masks_are_read_only(self, setup):
+        _, _, mgr, psets = setup
+        mgr.apply(psets[0])
+        layer = next(iter(mgr.layers.values()))
+        with pytest.raises(ValueError):
+            layer.mask[0, 0] = 1.0
+
+    def test_direct_set_mask_falls_through(self, setup):
+        model, backbone, mgr, psets = setup
+        mgr.apply(psets[0])
+        name, layer = next(iter(mgr.layers.items()))
+        layer.set_mask(np.ones_like(layer.weight.data))
+        mgr.apply(psets[0])
+        assert not np.all(layer.mask == 1.0)
+        self.assert_matches_fresh(model, backbone, mgr, psets[0])
+
+    def test_optimizer_step_falls_through(self, setup):
+        model, backbone, mgr, psets = setup
+        mgr.apply(psets[0])
+        before = mgr.snapshot_masks()
+        rng = np.random.default_rng(0)
+        toks = rng.integers(0, model.cfg.vocab_size, size=(4, 10))
+        model.loss(Tensor(toks), Tensor(toks)).backward()
+        SGD(model.parameters(), lr=50.0).step()
+        # cached masks assume frozen weights: a weight update is followed
+        # by invalidate_cache (the documented protocol)
+        mgr.invalidate_cache()
+        mgr.apply(psets[0])
+        after = mgr.snapshot_masks()
+        assert any(not np.array_equal(before[n], after[n]) for n in before)
+        self.assert_matches_fresh(model, backbone, mgr, psets[0])
+
+    def test_load_state_dict_falls_through(self, setup):
+        model, backbone, mgr, psets = setup
+        mgr.apply(psets[0])
+        before = mgr.snapshot_masks()
+        other = TransformerLM(replace(model.cfg, seed=11))
+        model.load_state_dict(other.state_dict())
+        # cleared at the cache (say, by another user of a shared cache),
+        # not through the manager: its resident masks must not outlive
+        # the artifacts they were derived from
+        mgr.cache.invalidate()
+        mgr.apply(psets[0])
+        after = mgr.snapshot_masks()
+        assert any(not np.array_equal(before[n], after[n]) for n in before)
+        self.assert_matches_fresh(model, backbone, mgr, psets[0])
+
+    def test_weight_update_without_invalidation_keeps_cached_masks(self, setup):
+        # no invalidate_cache: the cached artifacts (and so the installed
+        # masks) are what the cache holds, exactly as before the update
+        model, _, mgr, psets = setup
+        mgr.apply(psets[0])
+        before = mgr.snapshot_masks()
+        for layer in mgr.layers.values():
+            layer.weight.data[...] = -layer.weight.data
+            layer.weight.bump_version()
+        mgr.apply(psets[0])
+        after = mgr.snapshot_masks()
+        assert all(np.array_equal(before[n], after[n]) for n in before)
+
+    def test_clear_all_then_same_set(self, setup):
+        model, backbone, mgr, psets = setup
+        mgr.apply(psets[0])
+        mgr.clear_all()
+        mgr.apply(psets[0])
+        assert all(layer.mask is not None for layer in mgr.layers.values())
+        self.assert_matches_fresh(model, backbone, mgr, psets[0])
+
+    def test_apply_none_twice(self, setup):
+        model, backbone, mgr, psets = setup
+        mgr.apply(psets[0])
+        mgr.apply(None)
+        mgr.apply(None)
+        assert mgr.active_set is None and mgr._pattern_ids == {}
+        self.assert_matches_fresh(model, backbone, mgr, None)
+        for name, layer in mgr.layers.items():
+            assert np.array_equal(layer.mask, backbone[name])
+
+    def test_manager_without_cache(self, setup, count_unpacks):
+        # the RT3 search path: masks derive from the live weights on
+        # every apply, nothing is kept resident
+        model, backbone, _, psets = setup
+        mgr = MaskManager(model, backbone)
+        mgr.apply(psets[0])
+        name, layer = next(iter(mgr.layers.items()))
+        layer.set_mask(np.ones_like(layer.weight.data))
+        mgr.apply(psets[0])
+        assert count_unpacks == [] and not mgr._resident
+        self.assert_matches_fresh(model, backbone, mgr, psets[0], cache=False)
+
+    def test_resident_sets_bounded(self, setup):
+        from repro.core.patterns import _RESIDENT_SETS
+        _, _, mgr, _ = setup
+        rng = np.random.default_rng(5)
+        for _ in range(_RESIDENT_SETS + 3):
+            mgr.apply(random_pattern_set(8, 0.5, 2, rng))
+        assert len(mgr._resident) == _RESIDENT_SETS

@@ -18,6 +18,7 @@ from repro.nn.generation import (
 )
 from repro.nn.inference import ScratchPool, compile_decode
 from repro.nn.transformer import TransformerConfig, TransformerLM
+from repro.serve.cache import ArtifactCache
 from repro.tensor.tensor import Tensor, no_grad
 
 # the paper shape (2 encoder / 1 decoder layers): KV-capable
@@ -364,6 +365,38 @@ class TestDecodeEdgeCases:
             assert decoder.epoch == epoch
             assert decoder.decode_compiles == compiles
             assert st.rows >= rows  # cache survived
+        finally:
+            st.release()
+
+    def test_switch_back_reinstates_decode_program(self):
+        """A switch back to a rung seen before reinstates both planes'
+        programs (no compile) but still retires every outstanding
+        DecodeState; the next steps equal a freshly compiled plane."""
+        model = make_model("lm")
+        manager = MaskManager(model, cache=ArtifactCache())
+        psets = [random_pattern_set(8, s, 3, np.random.default_rng(i))
+                 for i, s in enumerate((0.3, 0.5))]
+        toks = np.random.default_rng(0).integers(0, 60, size=(1, 6))
+        manager.apply(psets[0])
+        decoder = compile_decode(model)
+        st = decoder.new_state()
+        try:
+            decoder.decode_step(toks, [st])
+            manager.apply(psets[1])
+            decoder.decode_step(toks, [st])
+            compiles = (decoder.plan.compiles, decoder.decode_compiles)
+            assert compiles == (2, 2)
+            manager.apply(psets[0])
+            epoch = decoder.epoch
+            got = decoder.decode_step(toks, [st])
+            assert decoder.epoch == epoch + 1  # K/V rows retired
+            assert (decoder.plan.compiles, decoder.decode_compiles) == compiles
+            fresh = compile_decode(model)
+            ref = fresh.new_state()
+            try:
+                assert np.array_equal(got, fresh.decode_step(toks, [ref]))
+            finally:
+                ref.release()
         finally:
             st.release()
 

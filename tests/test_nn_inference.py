@@ -204,6 +204,76 @@ class TestRecompile:
         with pytest.raises(ValueError, match="eval"):
             plan(toks)
 
+    def test_switch_back_reinstates_program(self):
+        model = make_model("lm")
+        manager = MaskManager(model, cache=ArtifactCache())
+        psets = [random_pattern_set(8, s, 3, np.random.default_rng(i))
+                 for i, s in enumerate((0.5, 0.7))]
+        toks, mask = tokens_for(model, 3, True)
+        manager.apply(psets[0])
+        plan = compile_inference(model)
+        first = plan(toks, attn_mask=mask)
+        manager.apply(psets[1])
+        plan(toks, attn_mask=mask)
+        assert plan.compiles == 2
+        for _ in range(3):
+            manager.apply(psets[0])
+            back = plan(toks, attn_mask=mask)
+            manager.apply(psets[1])
+            plan(toks, attn_mask=mask)
+        assert plan.compiles == 2  # every switch back was a pointer swap
+        manager.apply(psets[0])
+        back = plan(toks, attn_mask=mask)
+        assert np.array_equal(back, first)
+        assert np.array_equal(back, compile_inference(model)(toks, attn_mask=mask))
+        assert np.array_equal(back, eager(model, toks, mask))
+
+    def test_weight_update_drops_stale_programs(self):
+        model = make_model("lm")
+        manager = MaskManager(model, cache=ArtifactCache())
+        psets = [random_pattern_set(8, s, 3, np.random.default_rng(i))
+                 for i, s in enumerate((0.5, 0.7))]
+        toks, _ = tokens_for(model, 2, False)
+        plan = compile_inference(model)
+        for pset in psets:
+            manager.apply(pset)
+            plan(toks)
+        assert len(plan._programs) == 3  # unmasked + two rungs
+        model.embed.weight.bump_version()
+        plan(toks)
+        assert len(plan._programs) == 1
+        assert np.array_equal(plan(toks), eager(model, toks, None))
+
+    def test_programs_bounded(self):
+        from repro.nn.inference import _PROGRAM_CAP
+        model = make_model("lm")
+        manager = MaskManager(model, cache=ArtifactCache())
+        plan = compile_inference(model)
+        toks, _ = tokens_for(model, 2, False)
+        rng = np.random.default_rng(3)
+        for _ in range(_PROGRAM_CAP + 3):
+            manager.apply(random_pattern_set(8, 0.5, 3, rng))
+            plan(toks)
+        assert len(plan._programs) == _PROGRAM_CAP
+        assert np.array_equal(plan(toks), eager(model, toks, None))
+
+    def test_reinstated_program_rechecks_eval_mode(self):
+        model = TransformerLM(TransformerConfig(
+            vocab_size=60, dim=32, num_heads=2, ffn_dim=64, max_len=16,
+            dropout=0.1, seed=0)).eval()
+        manager = MaskManager(model, cache=ArtifactCache())
+        psets = [random_pattern_set(8, s, 3, np.random.default_rng(i))
+                 for i, s in enumerate((0.5, 0.7))]
+        toks, _ = tokens_for(model, 2, False)
+        plan = compile_inference(model)
+        for pset in psets:
+            manager.apply(pset)
+            plan(toks)
+        model.train()
+        manager.apply(psets[0])
+        with pytest.raises(ValueError, match="eval"):
+            plan(toks)
+
     def test_signature_is_cheap_ints(self):
         model = make_model("lm")
         plan = compile_inference(model)

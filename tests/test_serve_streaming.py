@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.patterns import MaskManager, random_pattern_set
+from repro.core.patterns import (
+    MaskManager,
+    PackedMask,
+    pattern_mask_for_matrix,
+    random_pattern_set,
+)
 from repro.core.runtime_policy import RuntimeAdapter
 from repro.hardware.latency import LatencyModel, SparsityKind
 from repro.hardware.dvfs import DVFSTable
@@ -657,3 +662,102 @@ class TestCompileFallbackWarnings:
         runtime = [w for w in recwarn
                    if issubclass(w.category, RuntimeWarning)]
         assert not runtime
+
+
+# ---------------------------------------------------------------------------
+# mask installs: steady rungs install nothing, rung switches compile once
+# ---------------------------------------------------------------------------
+
+class TestMaskInstallCounters:
+    @pytest.fixture()
+    def unpacks(self, monkeypatch):
+        calls = []
+        original = PackedMask.unpack
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(PackedMask, "unpack", counting)
+        return calls
+
+    def test_steady_rung_unpacks_and_compiles_nothing_after_first_batch(
+            self, unpacks):
+        model = TransformerLM(LM_CFG).eval()
+        engine, wl = build_engine(model, max_batch=4, window_s=0.002)
+        trace = build_scenario("steady", wl, ScenarioConfig(num_requests=40,
+                                                            seed=3))
+        core = engine.streaming()
+        core.play(trace[:8], drain=False)
+        plan = core._plan
+        assert plan is not None and plan.compiles == 1
+        after_first = len(unpacks)
+        done = core.play(trace[8:])
+        assert len(unpacks) == after_first
+        assert plan.compiles == 1
+        report = core.report()
+        assert report.num_batches >= 8
+        assert len({r.sparsity for r in report.results}) == 1
+        assert len(done) > 0
+
+    def test_rung_alternating_serve_compiles_once_per_rung(self, unpacks):
+        model = TransformerLM(LM_CFG).eval()
+        engine, wl = build_engine(model, max_batch=4)
+        trace = build_scenario("bursty", wl, ScenarioConfig(num_requests=48,
+                                                            seed=1))
+        core = engine.streaming()
+        core.play(trace)
+        report = core.report()
+        rungs = {r.sparsity for r in report.results}
+        assert len(rungs) >= 2
+        assert report.num_switches > len(rungs)  # it switched back, too
+        assert core._plan.compiles <= len(rungs)
+        # one derivation per rung and layer; every switch back reinstated
+        assert len(unpacks) == len(rungs) * len(engine.adapter.manager.layers)
+
+    def test_budget_pressured_cache_accounting_and_compiles(
+            self, monkeypatch):
+        """Hits, misses and evictions on a budget-pressured trace equal a
+        plain replay of the installs (one get_mask per managed layer per
+        apply, as when every install unpacked its masks), and evictions
+        cost no extra compiles."""
+        model = TransformerLM(LM_CFG).eval()
+        wl = profile_from_model(model, seq_len=12)
+        ladder = {s: random_pattern_set(8, s, 2, np.random.default_rng(0))
+                  for s in (0.3, 0.5, 0.7, 0.9)}
+        manager = MaskManager(model)
+        probe = ArtifactCache()
+        MaskManager(model, cache=probe).apply(ladder[0.3])
+        budget = int(probe.bytes_in_use * 1.5)  # room for ~1.5 rungs
+        cache = ArtifactCache(budget_bytes=budget)
+        adapter = RuntimeAdapter(ladder, wl, manager=manager,
+                                 hardware_pattern_size=8)
+        engine = ServeEngine(model, adapter, cache=cache, max_batch=4)
+        installs = []
+        original = MaskManager.apply
+
+        def recording(self, pattern_set):
+            installs.append(pattern_set)
+            return original(self, pattern_set)
+
+        monkeypatch.setattr(MaskManager, "apply", recording)
+        core = engine.streaming()
+        core.play(build_scenario("bursty", wl,
+                                 ScenarioConfig(num_requests=48, seed=1)))
+        # an evicted artifact re-derives to the resident mask's content,
+        # which keeps its token: still one compile per rung
+        rungs = {r.sparsity for r in core.report().results}
+        assert core._plan.compiles <= len(rungs)
+        replay = ArtifactCache(budget_bytes=budget)
+        for pset in installs:
+            digest = pset.digest()
+            for name, layer in manager.layers.items():
+                def compute(layer=layer, bp=manager.backbone_masks[name]):
+                    mask, ids = pattern_mask_for_matrix(
+                        layer.weight.data * bp, pset)
+                    return PackedMask(mask), ids
+                replay.get_mask(name, digest, compute, owner="replay")
+        got, want = cache.stats, replay.stats
+        assert got.evictions > 0
+        assert (got.hits, got.misses, got.evictions) == (
+            want.hits, want.misses, want.evictions)
